@@ -18,9 +18,11 @@
 #include "driver/anticipatory.hpp"
 #include "driver/function_compiler.hpp"
 #include "ir/asm_parser.hpp"
+#include "ir/depbuild.hpp"
 #include "machine/machine_model.hpp"
 #include "sim/lookahead_sim.hpp"
 #include "workloads/random_graphs.hpp"
+#include "workloads/random_ir.hpp"
 
 namespace {
 
@@ -203,6 +205,37 @@ void BM_LookaheadDense(benchmark::State& state) {
   state.SetComplexityN(blocks);
 }
 BENCHMARK(BM_LookaheadDense)->RangeMultiplier(2)->Range(2, 32)->Complexity();
+
+/// The Move_Idle_Slot wall on the default multi-unit machine (rs6000, W=2):
+/// random-IR traces of 24-instruction blocks drawn from a 16-register pool
+/// with 10% memory operations leave no chop point, so the live set grows
+/// with the trace and every Merge re-tries the retained suffix's idle slots
+/// — on rs6000 mostly fpu/branch-unit slots that no tail node precedes.
+/// The other compile-time rows all run single-unit machines.
+void BM_LookaheadUnchoppable(benchmark::State& state) {
+  const int blocks = static_cast<int>(state.range(0));
+  Prng prng(0x0c4b + static_cast<std::uint64_t>(blocks));
+  RandomIrParams ir;
+  ir.num_insts = 24;
+  ir.num_gprs = 16;
+  ir.mem_frac = 0.1;
+  const MachineModel machine = rs6000_like();
+  const DepGraph g =
+      build_trace_graph(random_ir_trace(prng, ir, blocks), machine);
+  const RankScheduler scheduler(g, machine);
+  LookaheadOptions opts;
+  opts.window = 2;
+  const ScheduleCache::ScopedBypass bypass;  // measure the raw solver
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(schedule_trace(scheduler, opts));
+  }
+  state.SetComplexityN(blocks);
+}
+BENCHMARK(BM_LookaheadUnchoppable)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
 
 // --- schedule cache -------------------------------------------------------
 

@@ -1,7 +1,9 @@
 #include "core/move_idle.hpp"
 
-#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "support/assert.hpp"
@@ -36,6 +38,168 @@ class SessionRestore {
   RankSession* session_;
 };
 
+/// State shared by the attempts of one Delay_Idle_Slots sweep: the unit ->
+/// class map, buffers reused by every attempt, and the Move_Idle counters,
+/// issued once by flush() instead of once per event (each bump is a map
+/// lookup in every active CounterRecorder, and recorders sum deltas per
+/// name, so batching leaves recorded deltas and registry totals unchanged).
+struct MoveIdleTrials {
+  explicit MoveIdleTrials(const MachineModel& machine)
+      : classes(unit_classes(machine)) {}
+
+  void flush() const {
+    if (attempts != 0) AIS_OBS_COUNT(obs::ctr::kIdleMoveAttempts, attempts);
+    if (pruned != 0) AIS_OBS_COUNT(obs::ctr::kIdleMovesPruned, pruned);
+    if (tightened != 0) AIS_OBS_COUNT(obs::ctr::kDeadlinesTightened, tightened);
+    if (moved != 0) AIS_OBS_COUNT(obs::ctr::kIdleSlotsMoved, moved);
+  }
+
+  const std::vector<int> classes;
+  DeadlineMap trial;          // trial deadlines of the current attempt
+  std::vector<NodeId> sigma;  // nodes before the slot on its FU class
+  std::uint64_t attempts = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t tightened = 0;
+  std::uint64_t moved = 0;
+};
+
+/// One Move_Idle_Slot attempt (paper Fig. 4).  Returns the new schedule and
+/// advances `slot` to the processed slot's new position when the slot
+/// moved later; returns nullopt ("not moved") otherwise, with `deadlines`
+/// and the session's rank cache as on entry.  The failure path copies
+/// nothing: it reads `s` until the first rank run.
+std::optional<Schedule> try_move_idle_slot(RankSession& session,
+                                           const Schedule& s,
+                                           DeadlineMap& deadlines,
+                                           IdleSlot& slot,
+                                           const RankOptions& opts,
+                                           MoveIdleTrials& trials) {
+  ++trials.attempts;
+  const NodeSet& active = s.active();
+  AIS_CHECK(session.active() == active,
+            "session active set must match the schedule");
+  const int slot_class = trials.classes[static_cast<std::size_t>(slot.unit)];
+  const std::size_t index = s.idle_slot_index(slot);
+
+  // Guard (1): the loop below starts at the tail node of `s`; when the slot
+  // is preceded by idle time there is none, and the first iteration fails
+  // (every exit before it is a failure too).
+  const NodeId first_tail = s.tail_node(slot.unit, slot.time);
+  if (first_tail == kInvalidNode) {
+    ++trials.pruned;
+    return std::nullopt;
+  }
+
+  // sigma: nodes currently scheduled before the slot on units of the slot's
+  // class.  Capping their deadlines at the slot time guarantees no earlier
+  // idle slot moves earlier (they must all still complete by slot.time).
+  //
+  // Guard (2): the first iteration's refill guard needs a sigma node with
+  // trial deadline >= slot.time.  A sigma node's trial deadline is
+  // min(d, slot.time) and the tail's is at most slot.time - 1, so without
+  // another sigma node whose deadline is >= slot.time the guard fails.
+  std::vector<NodeId>& sigma = trials.sigma;
+  sigma.clear();
+  bool refill_candidate = false;
+  for (const NodeId y : session.active_ids()) {
+    if (trials.classes[static_cast<std::size_t>(s.unit_of(y))] != slot_class) {
+      continue;
+    }
+    if (s.start(y) < slot.time) {
+      sigma.push_back(y);
+      if (y != first_tail && deadlines[y] >= slot.time) refill_candidate = true;
+    }
+  }
+  if (!refill_candidate) {
+    ++trials.pruned;
+    return std::nullopt;
+  }
+
+  // Prime the cache at the *uncapped* deadlines and snapshot it; the trial
+  // below is speculative, and SessionRestore rolls the cache back to this
+  // state on every failure path.
+  session.compute_ranks(deadlines, opts);
+  session.snapshot();
+  SessionRestore restore(session);
+
+  // Trial deadlines; committed into `deadlines` only on success.
+  DeadlineMap& trial = trials.trial;
+  trial.assign(deadlines.begin(), deadlines.end());
+  for (const NodeId y : sigma) {
+    if (trial[y] > slot.time) {
+      trial[y] = slot.time;
+      ++trials.tightened;
+    }
+  }
+
+  // Ranks under the capped deadlines, for the paper's failure guard.  The
+  // reference stays valid until the first run() below.
+  bool structurally_feasible = true;
+  const std::vector<Time>* rank =
+      &session.compute_ranks(trial, opts, &structurally_feasible);
+  if (!structurally_feasible) return std::nullopt;
+
+  // The schedule the loop reads: `s` until the first rank run, then that
+  // run's result.
+  const Schedule* current = &s;
+  std::optional<RankResult> last;
+  // Each iteration strictly reduces the tail node's deadline below
+  // slot.time, and the guard below bounds how often the slot can stay put;
+  // the explicit cap is belt-and-braces for the heuristic regimes.
+  const std::size_t iteration_cap = 4 * active.size() + 8;
+  for (std::size_t iter = 0; iter < iteration_cap; ++iter) {
+    const NodeId tail = current->tail_node(slot.unit, slot.time);
+    if (tail == kInvalidNode) return std::nullopt;  // slot preceded by idle
+    if (trial[tail] > slot.time - 1) {
+      trial[tail] = slot.time - 1;
+      ++trials.tightened;
+    }
+
+    // Paper guard: some sigma node must still be allowed to complete at
+    // slot.time, otherwise the tail position can never be filled.
+    bool refillable = false;
+    for (const NodeId y : sigma) {
+      if ((*rank)[y] >= slot.time && trial[y] >= slot.time) {
+        refillable = true;
+        break;
+      }
+    }
+    if (!refillable) return std::nullopt;
+
+    RankResult result = session.run(trial, opts);
+    if (!result.feasible) return std::nullopt;
+
+    const auto& slots = result.schedule.idle_slots();
+    IdleSlot new_slot;
+    if (index >= slots.size()) {
+      // The slot was eliminated outright (possible in heuristic regimes;
+      // §4.2 calls this out as a desirable outcome).
+      new_slot = IdleSlot{slot.unit, result.schedule.makespan()};
+    } else {
+      new_slot = slots[index];
+    }
+    if (new_slot.time > slot.time) {
+      // Finalize all deadline modifications; the swap keeps the trial
+      // buffer's storage for the next attempt.
+      std::swap(deadlines, trial);
+      restore.commit();  // the trial state is the new base
+      ++trials.moved;
+      slot = new_slot;
+      return std::move(result.schedule);
+    }
+    if (new_slot.time < slot.time) {
+      // Cannot happen in the restricted case (the sigma caps pin every node
+      // before the slot), but heuristic machines (typed units, long
+      // execution times) can shuffle slots across units; treat as failure.
+      return std::nullopt;
+    }
+    last = std::move(result);
+    rank = &last->rank;
+    current = &last->schedule;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 MoveIdleResult move_idle_slot(const RankScheduler& scheduler, const Schedule& s,
@@ -48,100 +212,12 @@ MoveIdleResult move_idle_slot(const RankScheduler& scheduler, const Schedule& s,
 MoveIdleResult move_idle_slot(RankSession& session, const Schedule& s,
                               DeadlineMap& deadlines, IdleSlot slot,
                               const RankOptions& opts) {
-  AIS_OBS_COUNT(obs::ctr::kIdleMoveAttempts);
-  const RankScheduler& scheduler = session.scheduler();
-  const NodeSet& active = s.active();
-  AIS_CHECK(session.active() == active,
-            "session active set must match the schedule");
-  const std::vector<int> classes = unit_classes(scheduler.machine());
-  const int slot_class = classes[static_cast<std::size_t>(slot.unit)];
-  const std::size_t index = s.idle_slot_index(slot);
-
-  const MoveIdleResult failure{s, slot, false};
-
-  // Prime the cache at the *uncapped* deadlines and snapshot it; the trial
-  // below is speculative, and SessionRestore rolls the cache back to this
-  // state on every failure path.
-  session.compute_ranks(deadlines, opts);
-  session.snapshot();
-  SessionRestore restore(session);
-
-  // Trial deadlines; committed into `deadlines` only on success.
-  DeadlineMap trial = deadlines;
-
-  // sigma: nodes currently scheduled before the slot on units of the slot's
-  // class.  Capping their deadlines at the slot time guarantees no earlier
-  // idle slot moves earlier (they must all still complete by slot.time).
-  std::vector<NodeId> sigma;
-  for (const NodeId y : session.active_ids()) {
-    if (classes[static_cast<std::size_t>(s.unit_of(y))] != slot_class) continue;
-    if (s.start(y) < slot.time) {
-      sigma.push_back(y);
-      if (trial[y] > slot.time) {
-        trial[y] = slot.time;
-        AIS_OBS_COUNT(obs::ctr::kDeadlinesTightened);
-      }
-    }
-  }
-
-  // Ranks under the capped deadlines, for the paper's failure guard.
-  bool structurally_feasible = true;
-  std::vector<Time> rank =
-      session.compute_ranks(trial, opts, &structurally_feasible);
-  if (!structurally_feasible) return failure;
-
-  Schedule current = s;
-  // Each iteration strictly reduces the tail node's deadline below
-  // slot.time, and the guard below bounds how often the slot can stay put;
-  // the explicit cap is belt-and-braces for the heuristic regimes.
-  const std::size_t iteration_cap = 4 * active.size() + 8;
-  for (std::size_t iter = 0; iter < iteration_cap; ++iter) {
-    const NodeId tail = current.tail_node(slot.unit, slot.time);
-    if (tail == kInvalidNode) return failure;  // slot preceded by idle time
-    if (trial[tail] > slot.time - 1) {
-      trial[tail] = slot.time - 1;
-      AIS_OBS_COUNT(obs::ctr::kDeadlinesTightened);
-    }
-
-    // Paper guard: some sigma node must still be allowed to complete at
-    // slot.time, otherwise the tail position can never be filled.
-    bool refillable = false;
-    for (const NodeId y : sigma) {
-      if (rank[y] >= slot.time && trial[y] >= slot.time) {
-        refillable = true;
-        break;
-      }
-    }
-    if (!refillable) return failure;
-
-    RankResult result = session.run(trial, opts);
-    if (!result.feasible) return failure;
-    rank = std::move(result.rank);
-
-    const auto& slots = result.schedule.idle_slots();
-    IdleSlot new_slot;
-    if (index >= slots.size()) {
-      // The slot was eliminated outright (possible in heuristic regimes;
-      // §4.2 calls this out as a desirable outcome).
-      new_slot = IdleSlot{slot.unit, result.schedule.makespan()};
-    } else {
-      new_slot = slots[index];
-    }
-    if (new_slot.time > slot.time) {
-      deadlines = std::move(trial);  // finalize all deadline modifications
-      restore.commit();  // the trial state is the new base
-      AIS_OBS_COUNT(obs::ctr::kIdleSlotsMoved);
-      return MoveIdleResult{std::move(result.schedule), new_slot, true};
-    }
-    if (new_slot.time < slot.time) {
-      // Cannot happen in the restricted case (the sigma caps pin every node
-      // before the slot), but heuristic machines (typed units, long
-      // execution times) can shuffle slots across units; treat as failure.
-      return failure;
-    }
-    current = std::move(result.schedule);
-  }
-  return failure;
+  MoveIdleTrials trials(session.scheduler().machine());
+  std::optional<Schedule> moved =
+      try_move_idle_slot(session, s, deadlines, slot, opts, trials);
+  trials.flush();
+  if (!moved.has_value()) return MoveIdleResult{s, slot, false};
+  return MoveIdleResult{std::move(*moved), slot, true};
 }
 
 Schedule delay_idle_slots(const RankScheduler& scheduler, Schedule s,
@@ -150,20 +226,24 @@ Schedule delay_idle_slots(const RankScheduler& scheduler, Schedule s,
   // Every re-schedule below keeps the active set of `s`, so one session
   // serves the whole sweep.
   RankSession session(scheduler, s.active());
+  MoveIdleTrials trials(scheduler.machine());
   std::size_t i = 0;
   while (true) {
     const auto& slots = s.idle_slots();
     if (i >= slots.size()) break;
     IdleSlot slot = slots[i];
-    // Keep trying to move the i-th idle slot (paper Fig. 6 inner loop).
+    // Keep trying to move the i-th idle slot (paper Fig. 6 inner loop); a
+    // slot that stays put leaves `s` as it is.
     while (true) {
-      MoveIdleResult res = move_idle_slot(session, s, deadlines, slot, opts);
-      s = std::move(res.schedule);
-      if (!res.moved || res.slot.time >= s.makespan()) break;
-      slot = res.slot;
+      std::optional<Schedule> moved =
+          try_move_idle_slot(session, s, deadlines, slot, opts, trials);
+      if (!moved.has_value()) break;
+      s = std::move(*moved);
+      if (slot.time >= s.makespan()) break;
     }
     ++i;
   }
+  trials.flush();
   return s;
 }
 

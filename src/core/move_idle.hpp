@@ -33,7 +33,10 @@ struct MoveIdleResult {
 
 /// Tries to delay the idle slot `slot` of `s`.  `deadlines` is updated in
 /// place: committed on success, untouched on failure.  `s` must be a
-/// feasible schedule for its active set under `deadlines`.
+/// feasible schedule for its active set under `deadlines`.  Attempts that
+/// provably fail (no tail node precedes the slot, or no other node before
+/// it may complete at slot.time) are decided before any rank work and
+/// counted as move_idle.pruned.
 MoveIdleResult move_idle_slot(const RankScheduler& scheduler, const Schedule& s,
                               DeadlineMap& deadlines, IdleSlot slot,
                               const RankOptions& opts = {});
@@ -48,7 +51,8 @@ MoveIdleResult move_idle_slot(RankSession& session, const Schedule& s,
 
 /// Delays every idle slot of `s` as late as possible, earliest slot first,
 /// re-trying each slot until it no longer moves (paper Fig. 6).  Returns the
-/// final schedule; `deadlines` accumulates all committed reductions.
+/// final schedule; `deadlines` accumulates all committed reductions.  A
+/// failed attempt copies no schedule: the sweep keeps the one it has.
 Schedule delay_idle_slots(const RankScheduler& scheduler, Schedule s,
                           DeadlineMap& deadlines, const RankOptions& opts = {});
 

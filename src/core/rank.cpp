@@ -1,12 +1,13 @@
 #include "core/rank.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
-#include <set>
+#include <span>
 #include <tuple>
 
 #include "graph/topo.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/process_stats.hpp"
 #include "support/assert.hpp"
@@ -67,6 +68,197 @@ class BackwardPacker {
   std::vector<std::vector<Time>>& lanes_;
 };
 
+/// Fills the CSR of distance-0 out-edges between active nodes of `g`
+/// (targets/latencies of node x at [begin[x], begin[x + 1])) and each
+/// node's active in-degree.  Vector types vary: RankSession keeps them in
+/// its arena.
+template <typename Begins, typename Targets, typename Latencies,
+          typename Counts>
+void build_active_csr(const DepGraph& g, const NodeSet& active, Begins& begin,
+                      Targets& to, Latencies& latency, Counts& preds) {
+  const std::size_t n = g.num_nodes();
+  begin.assign(n + 1, 0);
+  to.reserve(g.num_edges());
+  latency.reserve(g.num_edges());
+  preds.assign(n, 0);
+  for (NodeId x = 0; x < n; ++x) {
+    begin[x + 1] = begin[x];
+    if (!active.contains(x)) continue;
+    for (const auto eidx : g.out_edges(x)) {
+      const DepEdge& e = g.edge(eidx);
+      if (e.distance != 0 || !active.contains(e.to)) continue;
+      to.push_back(e.to);
+      latency.push_back(e.latency);
+      ++preds[e.to];
+      ++begin[x + 1];
+    }
+  }
+}
+
+/// What the greedy kernel reads besides the graph's per-node columns: the
+/// active-node CSR and in-degrees of build_active_csr.
+struct GreedyInputs {
+  const DepGraph& graph;
+  const MachineModel& machine;
+  const NodeSet& active;
+  std::span<const std::uint32_t> succ_begin;
+  std::span<const NodeId> succ_to;
+  std::span<const Time> succ_lat;
+  std::span<const std::int32_t> pred_count;
+};
+
+/// The greedy list scheduler: every cycle, issue ready nodes in `list`
+/// order onto the first free unit of their class, up to the issue width.
+///
+/// Event-driven: `ready` holds dependence-ready nodes as a bitset over list
+/// positions (the greedy priority); `pending` holds nodes whose dependences
+/// are satisfied but whose earliest start is in the future.  Equivalent to
+/// the classic "rescan the list from the front after every placement"
+/// formulation: within one cycle units only get busier and a successor
+/// released at t has est >= t + 1, so a single front-to-back sweep over the
+/// ready set per cycle issues exactly the same nodes.
+Schedule greedy_schedule(const GreedyInputs& in,
+                         const std::vector<NodeId>& list,
+                         GreedyScratch& scratch) {
+  const MachineModel& machine = in.machine;
+  const int num_classes = machine.num_fu_classes();
+  const std::span<const std::int32_t> exec_col = in.graph.exec_times();
+  const std::span<const std::int32_t> fu_col = in.graph.fu_classes();
+
+  // Global unit indexing is class-major, matching validate_schedule.
+  std::vector<int>& unit_base = scratch.unit_base;
+  unit_base.assign(static_cast<std::size_t>(num_classes), 0);
+  int total_units = 0;
+  for (int c = 0; c < num_classes; ++c) {
+    unit_base[static_cast<std::size_t>(c)] = total_units;
+    total_units += machine.fu_count(c);
+  }
+
+  Schedule sched(&in.graph, in.active, total_units);
+  std::vector<Time>& unit_free = scratch.unit_free;
+  unit_free.assign(static_cast<std::size_t>(total_units), 0);
+
+  const std::size_t n = in.graph.num_nodes();
+  std::vector<std::uint32_t>& pos = scratch.pos;
+  std::vector<std::int32_t>& preds_left = scratch.preds_left;
+  // Earliest dependence-legal start per node; meaningful once all preds are
+  // placed.
+  std::vector<Time>& est = scratch.est;
+  pos.resize(n);
+  preds_left.resize(n);
+  est.resize(n);
+  const std::size_t num_words = (list.size() + 63) / 64;
+  std::vector<std::uint64_t>& ready = scratch.ready;
+  ready.assign(num_words, 0);
+  using Pending = GreedyScratch::Pending;
+  std::vector<Pending>& pending = scratch.pending;  // min-heap on (est, pos)
+  pending.clear();
+  const auto later = std::greater<Pending>();
+  for (std::uint32_t i = 0; i < list.size(); ++i) {
+    const NodeId id = list[i];
+    pos[id] = i;
+    preds_left[id] = in.pred_count[id];
+    est[id] = 0;
+    if (preds_left[id] == 0) ready[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+
+  std::vector<char>& class_waiting = scratch.class_waiting;
+  class_waiting.assign(static_cast<std::size_t>(num_classes), 0);
+
+  std::size_t unplaced = list.size();
+  Time t = 0;
+  const Time t_limit = in.graph.total_work() +
+                       static_cast<Time>(list.size() + 1) *
+                           (in.graph.max_latency() + 1) +
+                       1;
+  while (unplaced > 0) {
+    AIS_CHECK(t <= t_limit, "greedy scheduler failed to make progress");
+    while (!pending.empty() && pending.front().first <= t) {
+      const std::uint32_t p = pending.front().second;
+      ready[p >> 6] |= std::uint64_t{1} << (p & 63);
+      std::pop_heap(pending.begin(), pending.end(), later);
+      pending.pop_back();
+    }
+
+    // One ascending sweep over the ready positions.  Releases go to
+    // `pending`, never to `ready`, so the sweep may clear bits as it issues.
+    int issued = 0;
+    bool width_exhausted = false;
+    for (std::size_t w = 0; w < num_words && !width_exhausted; ++w) {
+      std::uint64_t word = ready[w];
+      while (word != 0) {
+        if (issued >= machine.issue_width()) {
+          width_exhausted = true;
+          break;
+        }
+        const int bit = __builtin_ctzll(word);
+        word &= word - 1;
+        const NodeId id = list[w * 64 + static_cast<std::size_t>(bit)];
+        const int fu_class = fu_col[id];
+        const Time exec_time = exec_col[id];
+        // A unit of this node's class free for [t, t + exec)?
+        const int base = unit_base[static_cast<std::size_t>(fu_class)];
+        int chosen = -1;
+        for (int k = 0; k < machine.fu_count(fu_class); ++k) {
+          if (unit_free[static_cast<std::size_t>(base + k)] <= t) {
+            chosen = base + k;
+            break;
+          }
+        }
+        if (chosen < 0) continue;
+        sched.place(id, t, chosen);
+        unit_free[static_cast<std::size_t>(chosen)] = t + exec_time;
+        --unplaced;
+        ++issued;
+        ready[w] &= ~(std::uint64_t{1} << bit);
+        // Release successors.  A successor released now has est >= t + 1
+        // (exec_time >= 1), so it can never issue this cycle.
+        for (std::uint32_t e = in.succ_begin[id]; e < in.succ_begin[id + 1];
+             ++e) {
+          const NodeId to = in.succ_to[e];
+          est[to] = std::max(est[to], t + exec_time + in.succ_lat[e]);
+          if (--preds_left[to] == 0) {
+            pending.emplace_back(est[to], pos[to]);
+            std::push_heap(pending.begin(), pending.end(), later);
+          }
+        }
+      }
+    }
+    if (unplaced == 0) break;
+
+    // Jump to the next cycle where anything can change: (a) t + 1 when the
+    // issue width cut the sweep short, (b) the earliest pending release,
+    // (c) the earliest unit of a class some ready node waits on freeing up.
+    Time next = kInf;
+    if (width_exhausted) next = t + 1;
+    if (!pending.empty()) next = std::min(next, pending.front().first);
+    if (!width_exhausted) {
+      std::fill(class_waiting.begin(), class_waiting.end(), 0);
+      for (std::size_t w = 0; w < num_words; ++w) {
+        std::uint64_t word = ready[w];
+        while (word != 0) {
+          const int bit = __builtin_ctzll(word);
+          word &= word - 1;
+          const NodeId id = list[w * 64 + static_cast<std::size_t>(bit)];
+          class_waiting[static_cast<std::size_t>(fu_col[id])] = 1;
+        }
+      }
+      for (int c = 0; c < num_classes; ++c) {
+        if (!class_waiting[static_cast<std::size_t>(c)]) continue;
+        const int base = unit_base[static_cast<std::size_t>(c)];
+        for (int k = 0; k < machine.fu_count(c); ++k) {
+          next = std::min(next,
+                          unit_free[static_cast<std::size_t>(base + k)]);
+        }
+      }
+    }
+    AIS_CHECK(next > t && next < kInf,
+              "greedy scheduler failed to make progress");
+    t = next;
+  }
+  return sched;
+}
+
 }  // namespace
 
 RankScheduler::RankScheduler(const DepGraph& g, MachineModel machine)
@@ -108,6 +300,7 @@ RankSession::RankSession(const RankScheduler& scheduler, const NodeSet& active,
       succ_begin_(ArenaAllocator<std::uint32_t>(arena_)),
       succ_to_(ArenaAllocator<NodeId>(arena_)),
       succ_lat_(ArenaAllocator<Time>(arena_)),
+      pred_count_(ArenaAllocator<std::int32_t>(arena_)),
       rank_(scheduler.graph().num_nodes(), kInf),
       desc_part_(ArenaAllocator<Time>(arena_)),
       desc_keys_(ArenaAllocator<std::uint64_t>(arena_)),
@@ -137,25 +330,16 @@ RankSession::RankSession(const RankScheduler& scheduler, const NodeSet& active,
   fu_class_.assign(fu_col.begin(), fu_col.end());
   rank_pos_.assign(n, 0);
   pos_words_.assign((n + 63) / 64 + 1, 0);
-  succ_begin_.assign(n + 1, 0);
-  succ_to_.reserve(g.num_edges());
-  succ_lat_.reserve(g.num_edges());
-  for (NodeId x = 0; x < n; ++x) {
-    succ_begin_[x + 1] = succ_begin_[x];
-    if (!active_.contains(x)) continue;
-    for (const auto eidx : g.out_edges(x)) {
-      const DepEdge& e = g.edge(eidx);
-      if (e.distance != 0 || !active_.contains(e.to)) continue;
-      succ_to_.push_back(e.to);
-      succ_lat_.push_back(e.latency);
-      ++succ_begin_[x + 1];
-    }
-  }
+  build_active_csr(g, active_, succ_begin_, succ_to_, succ_lat_, pred_count_);
   if (obs::enabled()) {
-    obs::record_arena_high_water(
-        "rank_session", static_cast<std::int64_t>(arena_.bytes_reserved()));
-    obs::record_arena_high_water(
-        "graph", static_cast<std::int64_t>(g.arena_bytes_reserved()));
+    // Cached handles: a session is built per Merge and per Delay_Idle_Slots
+    // call, and a registry lookup each time is most of the metrics-on cost
+    // of a small compile.
+    static obs::Gauge* const session_bytes =
+        obs::arena_high_water_gauge("rank_session");
+    static obs::Gauge* const graph_bytes = obs::arena_high_water_gauge("graph");
+    session_bytes->set_max(static_cast<std::int64_t>(arena_.bytes_reserved()));
+    graph_bytes->set_max(static_cast<std::int64_t>(g.arena_bytes_reserved()));
   }
 }
 
@@ -481,7 +665,8 @@ RankResult RankSession::run_impl(const DeadlineMap& deadlines,
   // Priority list: nondecreasing rank, ties by opts.tie_break then id.  The
   // tie-break presence check and the active-id materialization are hoisted
   // out of the comparator (both used to run once per comparison).
-  std::vector<NodeId> list = active_ids_;
+  std::vector<NodeId>& list = list_;
+  list.assign(active_ids_.begin(), active_ids_.end());
   if (opts.tie_break.empty()) {
     // Same packed-key trick as the backward pass: when the rank spread fits
     // 32 bits, sort flat (rank - min) << 32 | id words instead of chasing
@@ -527,7 +712,17 @@ RankResult RankSession::run_impl(const DeadlineMap& deadlines,
       .feasible = true,
       .infeasible_reason = {},
       .rank = rank,
-      .schedule = scheduler_->greedy_from_list(active_, list),
+      .schedule = greedy_schedule(
+          GreedyInputs{
+              .graph = scheduler_->graph(),
+              .machine = scheduler_->machine(),
+              .active = active_,
+              .succ_begin = succ_begin_,
+              .succ_to = succ_to_,
+              .succ_lat = succ_lat_,
+              .pred_count = pred_count_,
+          },
+          list, greedy_),
       .makespan = 0,
   };
   result.makespan = result.schedule.makespan();
@@ -555,129 +750,25 @@ Schedule RankScheduler::greedy_from_list(const NodeSet& active,
     AIS_CHECK(active.contains(id), "priority list node outside active set");
   }
 
-  // Global unit indexing is class-major, matching validate_schedule.
-  std::vector<int> unit_base(
-      static_cast<std::size_t>(machine_.num_fu_classes()), 0);
-  int total_units = 0;
-  for (int c = 0; c < machine_.num_fu_classes(); ++c) {
-    unit_base[static_cast<std::size_t>(c)] = total_units;
-    total_units += machine_.fu_count(c);
-  }
-
-  Schedule sched(&graph_, active, total_units);
-  std::vector<Time> unit_free(static_cast<std::size_t>(total_units), 0);
-
-  const std::span<const std::int32_t> exec_col = graph_.exec_times();
-  const std::span<const std::int32_t> fu_col = graph_.fu_classes();
-  std::vector<std::uint32_t> pos(graph_.num_nodes(), 0);
-  for (std::uint32_t i = 0; i < list.size(); ++i) pos[list[i]] = i;
-
-  // earliest dependence-legal start per node; meaningful once all preds
-  // are placed.
-  std::vector<int> preds_left(graph_.num_nodes(), 0);
-  std::vector<Time> est(graph_.num_nodes(), 0);
-  for (const NodeId id : list) {
-    for (const auto eidx : graph_.in_edges(id)) {
-      const DepEdge& e = graph_.edge(eidx);
-      if (e.distance == 0 && active.contains(e.from)) ++preds_left[id];
-    }
-  }
-
-  // Event-driven ready queue.  `ready` holds dependence-ready nodes keyed by
-  // list position (the greedy priority); `pending` holds nodes whose
-  // dependences are satisfied but whose earliest start is in the future.
-  // Equivalent to the classic "rescan the list from the front after every
-  // placement" formulation: within one cycle units only get busier and a
-  // successor released at t has est >= t + 1, so a single front-to-back
-  // sweep over the ready set per cycle issues exactly the same nodes.
-  std::set<std::uint32_t> ready;
-  using Pending = std::pair<Time, std::uint32_t>;  // (est, list position)
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
-      pending;
-  for (const NodeId id : list) {
-    if (preds_left[id] == 0) ready.insert(pos[id]);
-  }
-
-  std::vector<char> class_waiting(
-      static_cast<std::size_t>(machine_.num_fu_classes()), 0);
-
-  std::size_t unplaced = list.size();
-  Time t = 0;
-  const Time t_limit = graph_.total_work() +
-                       static_cast<Time>(list.size() + 1) *
-                           (graph_.max_latency() + 1) +
-                       1;
-  while (unplaced > 0) {
-    AIS_CHECK(t <= t_limit, "greedy scheduler failed to make progress");
-    while (!pending.empty() && pending.top().first <= t) {
-      ready.insert(pending.top().second);
-      pending.pop();
-    }
-
-    int issued = 0;
-    bool width_exhausted = false;
-    for (auto it = ready.begin(); it != ready.end();) {
-      if (issued >= machine_.issue_width()) {
-        width_exhausted = true;
-        break;
-      }
-      const NodeId id = list[*it];
-      const int fu_class = fu_col[id];
-      const Time exec_time = exec_col[id];
-      // A unit of this node's class free for [t, t + exec)?
-      const int base = unit_base[static_cast<std::size_t>(fu_class)];
-      int chosen = -1;
-      for (int k = 0; k < machine_.fu_count(fu_class); ++k) {
-        if (unit_free[static_cast<std::size_t>(base + k)] <= t) {
-          chosen = base + k;
-          break;
-        }
-      }
-      if (chosen < 0) {
-        ++it;
-        continue;
-      }
-      sched.place(id, t, chosen);
-      unit_free[static_cast<std::size_t>(chosen)] = t + exec_time;
-      --unplaced;
-      ++issued;
-      // Release successors.  A successor released now has est >= t + 1
-      // (exec_time >= 1), so it can never issue this cycle.
-      for (const auto eidx : graph_.out_edges(id)) {
-        const DepEdge& e = graph_.edge(eidx);
-        if (e.distance != 0 || !active.contains(e.to)) continue;
-        est[e.to] = std::max(est[e.to], t + exec_time + e.latency);
-        if (--preds_left[e.to] == 0) pending.emplace(est[e.to], pos[e.to]);
-      }
-      it = ready.erase(it);
-    }
-    if (unplaced == 0) break;
-
-    // Jump to the next cycle where anything can change: (a) t + 1 when the
-    // issue width cut the sweep short, (b) the earliest pending release,
-    // (c) the earliest unit of a class some ready node waits on freeing up.
-    Time next = kInf;
-    if (width_exhausted) next = t + 1;
-    if (!pending.empty()) next = std::min(next, pending.top().first);
-    if (!width_exhausted && !ready.empty()) {
-      std::fill(class_waiting.begin(), class_waiting.end(), 0);
-      for (const std::uint32_t p : ready) {
-        class_waiting[static_cast<std::size_t>(fu_col[list[p]])] = 1;
-      }
-      for (int c = 0; c < machine_.num_fu_classes(); ++c) {
-        if (!class_waiting[static_cast<std::size_t>(c)]) continue;
-        const int base = unit_base[static_cast<std::size_t>(c)];
-        for (int k = 0; k < machine_.fu_count(c); ++k) {
-          next = std::min(next,
-                          unit_free[static_cast<std::size_t>(base + k)]);
-        }
-      }
-    }
-    AIS_CHECK(next > t && next < kInf,
-              "greedy scheduler failed to make progress");
-    t = next;
-  }
-  return sched;
+  // The kernel's inputs, built the way RankSession builds them once per
+  // session.
+  std::vector<std::uint32_t> succ_begin;
+  std::vector<NodeId> succ_to;
+  std::vector<Time> succ_lat;
+  std::vector<std::int32_t> pred_count;
+  build_active_csr(graph_, active, succ_begin, succ_to, succ_lat, pred_count);
+  GreedyScratch scratch;
+  return greedy_schedule(
+      GreedyInputs{
+          .graph = graph_,
+          .machine = machine_,
+          .active = active,
+          .succ_begin = succ_begin,
+          .succ_to = succ_to,
+          .succ_lat = succ_lat,
+          .pred_count = pred_count,
+      },
+      list, scratch);
 }
 
 }  // namespace ais

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/deadlines.hpp"
@@ -63,6 +64,22 @@ struct RankResult {
   std::vector<Time> rank;
   Schedule schedule;
   Time makespan = 0;
+};
+
+/// Reusable buffers of the greedy list-scheduling kernel (rank.cpp).  A
+/// RankSession keeps one across runs, so its repeated greedy passes stop
+/// allocating; RankScheduler::greedy_from_list uses a fresh one per call.
+struct GreedyScratch {
+  using Pending = std::pair<Time, std::uint32_t>;  // (est, list position)
+
+  std::vector<int> unit_base;             // [class] first global unit
+  std::vector<Time> unit_free;            // [unit] cycle the unit frees up
+  std::vector<std::uint32_t> pos;         // [node] position in the list
+  std::vector<std::int32_t> preds_left;   // [node] unplaced active preds
+  std::vector<Time> est;                  // [node] earliest legal start
+  std::vector<std::uint64_t> ready;       // bitset over list positions
+  std::vector<Pending> pending;           // min-heap of future releases
+  std::vector<char> class_waiting;        // [class] some ready node waits
 };
 
 class RankScheduler {
@@ -236,6 +253,12 @@ class RankSession {
   ArenaVector<std::uint32_t> succ_begin_;
   ArenaVector<NodeId> succ_to_;
   ArenaVector<Time> succ_lat_;
+  // Active in-degree over that CSR: the greedy pass's initial predecessor
+  // counts, fixed for the session's lifetime.
+  ArenaVector<std::int32_t> pred_count_;
+  // run()'s priority list and greedy kernel buffers, reused across runs.
+  std::vector<NodeId> list_;
+  GreedyScratch greedy_;
 
   // Rank cache: valid while has_ranks_, for deadlines cached_deadlines_ and
   // the split_long_ops setting cached_split_.  rank_[x] ==

@@ -1,6 +1,7 @@
 #include "core/schedule.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <tuple>
 
@@ -87,14 +88,25 @@ NodeId Schedule::node_at(int unit, Time time) const {
 
 const std::vector<IdleSlot>& Schedule::idle_slots() const {
   if (!idle_cache_valid_) {
+    // Time-major sweep with one cursor per lane, emitting (time, unit)
+    // order directly: a lane's cursor skips the occupants that completed by
+    // t, and the unit is idle at t unless the occupant under the cursor has
+    // started.
     idle_cache_.clear();
-    for (int u = 0; u < total_units(); ++u) {
-      for (const Time t : idle_times(u)) idle_cache_.push_back(IdleSlot{u, t});
+    const std::span<const std::int32_t> exec = graph_->exec_times();
+    std::vector<std::size_t> cursor(units_.size(), 0);
+    for (Time t = 0; t < makespan_; ++t) {
+      for (std::size_t u = 0; u < units_.size(); ++u) {
+        const auto& lane = units_[u];
+        std::size_t& i = cursor[u];
+        while (i < lane.size() && lane[i].first + exec[lane[i].second] <= t) {
+          ++i;
+        }
+        if (i == lane.size() || lane[i].first > t) {
+          idle_cache_.push_back(IdleSlot{static_cast<int>(u), t});
+        }
+      }
     }
-    std::sort(idle_cache_.begin(), idle_cache_.end(),
-              [](const IdleSlot& a, const IdleSlot& b) {
-                return std::tie(a.time, a.unit) < std::tie(b.time, b.unit);
-              });
     idle_cache_valid_ = true;
   }
   return idle_cache_;

@@ -68,7 +68,9 @@ namespace ais {
 /// Bump when any scheduling algorithm changes observable output: it is
 /// serialized into every key, so stale disk (and in-memory) entries of an
 /// older scheduler can never be served.
-inline constexpr std::uint32_t kScheduleCacheAlgoVersion = 1;
+/// v2: Move_Idle_Slot's failure guards changed the recorded counter deltas
+/// (move_idle.pruned; fewer deadline caps and incremental rank passes).
+inline constexpr std::uint32_t kScheduleCacheAlgoVersion = 2;
 /// Bump when the key or value serialization layout changes.
 /// v3: values grew per-name histogram sample lists (value_samples).
 inline constexpr std::uint32_t kScheduleCacheFormatVersion = 3;

@@ -272,6 +272,9 @@ inline constexpr const char* kMergeFullRelaxRounds = "merge.full_relax_rounds";
 inline constexpr const char* kMergeGallopProbes = "merge.gallop_probes";
 inline constexpr const char* kIdleMoveAttempts = "move_idle.attempts";
 inline constexpr const char* kIdleSlotsMoved = "move_idle.moved";
+/// Attempts decided "not moved" from the schedule and deadlines alone,
+/// before any rank work (see core/move_idle.cpp for the two guards).
+inline constexpr const char* kIdleMovesPruned = "move_idle.pruned";
 inline constexpr const char* kDeadlinesTightened =
     "move_idle.deadlines_tightened";
 inline constexpr const char* kChopCalls = "chop.calls";

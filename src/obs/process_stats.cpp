@@ -28,9 +28,11 @@ void record_process_gauges() {
 }
 
 void record_arena_high_water(std::string_view name, std::int64_t bytes) {
-  MetricRegistry::global()
-      .gauge("arena_high_water", {"arena", name})
-      ->set_max(bytes);
+  arena_high_water_gauge(name)->set_max(bytes);
+}
+
+Gauge* arena_high_water_gauge(std::string_view name) {
+  return MetricRegistry::global().gauge("arena_high_water", {"arena", name});
 }
 
 }  // namespace ais::obs

@@ -12,6 +12,8 @@
 
 namespace ais::obs {
 
+class Gauge;
+
 /// Peak resident set size of this process in bytes (getrusage ru_maxrss);
 /// 0 where the platform cannot report it.
 std::int64_t peak_rss_bytes();
@@ -24,5 +26,11 @@ void record_process_gauges();
 /// must outlive the process (string literals only) — the registry keeps the
 /// view.
 void record_arena_high_water(std::string_view name, std::int64_t bytes);
+
+/// The `arena_high_water{arena=<name>}` gauge itself, registered on first
+/// call.  Hot allocation sites cache it once (registry handles never
+/// dangle) instead of paying record_arena_high_water's locked lookup on
+/// every call.
+Gauge* arena_high_water_gauge(std::string_view name);
 
 }  // namespace ais::obs

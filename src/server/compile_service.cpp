@@ -121,6 +121,10 @@ void compile_ir(const std::string& ir_text, const CompileOptions& options,
     reply->message = "bad IR: " + parse_error;
     return;
   }
+  if (std::string error = branch_position_error(*prog); !error.empty()) {
+    reply->message = "bad IR: " + error;
+    return;
+  }
 
   // Capture this request's counter stream: the recorder sees every delta
   // the calling thread issues (including cache-hit replays) and filters

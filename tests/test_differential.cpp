@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/chop.hpp"
 #include "core/deadlines.hpp"
 #include "core/lookahead.hpp"
 #include "core/merge.hpp"
@@ -26,11 +27,14 @@
 #include "core/schedule_cache.hpp"
 #include "graph/closure.hpp"
 #include "graph/topo.hpp"
+#include "ir/depbuild.hpp"
 #include "machine/machine_model.hpp"
 #include "obs/obs.hpp"
+#include "support/assert.hpp"
 #include "support/prng.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/random_graphs.hpp"
+#include "workloads/random_ir.hpp"
 
 namespace ais {
 namespace {
@@ -336,6 +340,179 @@ RefMergeResult ref_merge_blocks(const RankScheduler& scheduler,
       for (const NodeId w : old_nodes.ids()) ++d_cur[w];
     }
   }
+}
+
+/// Original Move_Idle_Slot / Delay_Idle_Slots, verbatim from before the
+/// failure guards: every attempt primes and snapshots the session, copies
+/// the schedule into a `failure` result and the deadline map into a trial
+/// map, and runs the sigma caps before the loop can fail; every counter is
+/// bumped per event.  The optimized path must match it exactly — schedules,
+/// slots, moved flags and deadline maps — and keep its attempts, moved and
+/// rank-run counts.
+///
+/// Class-major unit -> FU class mapping (same layout as greedy_from_list).
+std::vector<int> ref_unit_classes(const MachineModel& machine) {
+  std::vector<int> classes;
+  for (int c = 0; c < machine.num_fu_classes(); ++c) {
+    for (int k = 0; k < machine.fu_count(c); ++k) classes.push_back(c);
+  }
+  return classes;
+}
+
+/// Restores the session's rank-cache snapshot on scope exit unless the
+/// trial committed.  Failed deadline trials thereby never pollute the
+/// session cache: the next trial diffs against the base deadlines instead
+/// of paying a second incremental pass to undo this trial's caps.
+class RefSessionRestore {
+ public:
+  explicit RefSessionRestore(RankSession& session) : session_(&session) {}
+  RefSessionRestore(const RefSessionRestore&) = delete;
+  RefSessionRestore& operator=(const RefSessionRestore&) = delete;
+  ~RefSessionRestore() {
+    if (session_ != nullptr) session_->restore_snapshot();
+  }
+  void commit() { session_ = nullptr; }
+
+ private:
+  RankSession* session_;
+};
+
+MoveIdleResult ref_move_idle_slot(RankSession& session, const Schedule& s,
+                                  DeadlineMap& deadlines, IdleSlot slot,
+                                  const RankOptions& opts) {
+  AIS_OBS_COUNT(obs::ctr::kIdleMoveAttempts);
+  const RankScheduler& scheduler = session.scheduler();
+  const NodeSet& active = s.active();
+  AIS_CHECK(session.active() == active,
+            "session active set must match the schedule");
+  const std::vector<int> classes = ref_unit_classes(scheduler.machine());
+  const int slot_class = classes[static_cast<std::size_t>(slot.unit)];
+  const std::size_t index = s.idle_slot_index(slot);
+
+  const MoveIdleResult failure{s, slot, false};
+
+  // Prime the cache at the *uncapped* deadlines and snapshot it; the trial
+  // below is speculative, and SessionRestore rolls the cache back to this
+  // state on every failure path.
+  session.compute_ranks(deadlines, opts);
+  session.snapshot();
+  RefSessionRestore restore(session);
+
+  // Trial deadlines; committed into `deadlines` only on success.
+  DeadlineMap trial = deadlines;
+
+  // sigma: nodes currently scheduled before the slot on units of the slot's
+  // class.  Capping their deadlines at the slot time guarantees no earlier
+  // idle slot moves earlier (they must all still complete by slot.time).
+  std::vector<NodeId> sigma;
+  for (const NodeId y : session.active_ids()) {
+    if (classes[static_cast<std::size_t>(s.unit_of(y))] != slot_class) continue;
+    if (s.start(y) < slot.time) {
+      sigma.push_back(y);
+      if (trial[y] > slot.time) {
+        trial[y] = slot.time;
+        AIS_OBS_COUNT(obs::ctr::kDeadlinesTightened);
+      }
+    }
+  }
+
+  // Ranks under the capped deadlines, for the paper's failure guard.
+  bool structurally_feasible = true;
+  std::vector<Time> rank =
+      session.compute_ranks(trial, opts, &structurally_feasible);
+  if (!structurally_feasible) return failure;
+
+  Schedule current = s;
+  // Each iteration strictly reduces the tail node's deadline below
+  // slot.time, and the guard below bounds how often the slot can stay put;
+  // the explicit cap is belt-and-braces for the heuristic regimes.
+  const std::size_t iteration_cap = 4 * active.size() + 8;
+  for (std::size_t iter = 0; iter < iteration_cap; ++iter) {
+    const NodeId tail = current.tail_node(slot.unit, slot.time);
+    if (tail == kInvalidNode) return failure;  // slot preceded by idle time
+    if (trial[tail] > slot.time - 1) {
+      trial[tail] = slot.time - 1;
+      AIS_OBS_COUNT(obs::ctr::kDeadlinesTightened);
+    }
+
+    // Paper guard: some sigma node must still be allowed to complete at
+    // slot.time, otherwise the tail position can never be filled.
+    bool refillable = false;
+    for (const NodeId y : sigma) {
+      if (rank[y] >= slot.time && trial[y] >= slot.time) {
+        refillable = true;
+        break;
+      }
+    }
+    if (!refillable) return failure;
+
+    RankResult result = session.run(trial, opts);
+    if (!result.feasible) return failure;
+    rank = std::move(result.rank);
+
+    const auto& slots = result.schedule.idle_slots();
+    IdleSlot new_slot;
+    if (index >= slots.size()) {
+      // The slot was eliminated outright (possible in heuristic regimes;
+      // §4.2 calls this out as a desirable outcome).
+      new_slot = IdleSlot{slot.unit, result.schedule.makespan()};
+    } else {
+      new_slot = slots[index];
+    }
+    if (new_slot.time > slot.time) {
+      deadlines = std::move(trial);  // finalize all deadline modifications
+      restore.commit();  // the trial state is the new base
+      AIS_OBS_COUNT(obs::ctr::kIdleSlotsMoved);
+      return MoveIdleResult{std::move(result.schedule), new_slot, true};
+    }
+    if (new_slot.time < slot.time) {
+      // Cannot happen in the restricted case (the sigma caps pin every node
+      // before the slot), but heuristic machines (typed units, long
+      // execution times) can shuffle slots across units; treat as failure.
+      return failure;
+    }
+    current = std::move(result.schedule);
+  }
+  return failure;
+}
+
+Schedule ref_delay_idle_slots(const RankScheduler& scheduler, Schedule s,
+                              DeadlineMap& deadlines,
+                              const RankOptions& opts) {
+  AIS_OBS_SPAN("move_idle");
+  // Every re-schedule below keeps the active set of `s`, so one session
+  // serves the whole sweep.
+  RankSession session(scheduler, s.active());
+  std::size_t i = 0;
+  while (true) {
+    const auto& slots = s.idle_slots();
+    if (i >= slots.size()) break;
+    IdleSlot slot = slots[i];
+    // Keep trying to move the i-th idle slot (paper Fig. 6 inner loop).
+    while (true) {
+      MoveIdleResult res =
+          ref_move_idle_slot(session, s, deadlines, slot, opts);
+      s = std::move(res.schedule);
+      if (!res.moved || res.slot.time >= s.makespan()) break;
+      slot = res.slot;
+    }
+    ++i;
+  }
+  return s;
+}
+
+/// Original Schedule::idle_slots(): collect every unit's idle times, then
+/// sort by (time, unit).
+std::vector<IdleSlot> ref_idle_slots(const Schedule& s) {
+  std::vector<IdleSlot> slots;
+  for (int u = 0; u < s.total_units(); ++u) {
+    for (const Time t : s.idle_times(u)) slots.push_back(IdleSlot{u, t});
+  }
+  std::sort(slots.begin(), slots.end(),
+            [](const IdleSlot& a, const IdleSlot& b) {
+              return std::tie(a.time, a.unit) < std::tie(b.time, b.unit);
+            });
+  return slots;
 }
 
 // ---------------------------------------------------------------------------
@@ -663,6 +840,37 @@ TEST(Differential, GreedyQueueMatchesFrontRescan) {
       const Schedule got = scheduler.greedy_from_list(all, list);
       const Schedule want = ref_greedy_from_list(scheduler, all, list);
       expect_same_schedule(got, want, all);
+      EXPECT_EQ(got.idle_slots(), ref_idle_slots(got));
+
+      // The same kernel behind RankSession::run: the session's CSR and
+      // predecessor counts, scratch reused run after run under changing
+      // deadlines and tie-breaks.  Each schedule must be the front-rescan
+      // greedy of the priority list the run's ranks define.
+      RankSession session(scheduler, all);
+      const Time huge = huge_deadline(g, all);
+      for (int step = 0; step < 4; ++step) {
+        const DeadlineMap d = step == 0 ? uniform_deadlines(g, huge)
+                                        : random_deadlines(prng, g, all, huge);
+        RankOptions opts;
+        if (step == 3) {
+          opts.tie_break.resize(g.num_nodes());
+          for (auto& t : opts.tie_break) {
+            t = static_cast<int>(prng.uniform(0, 5));
+          }
+        }
+        const RankResult run = session.run(d, opts);
+        std::vector<NodeId> by_rank = all.ids();
+        std::sort(by_rank.begin(), by_rank.end(), [&](NodeId a, NodeId b) {
+          const int ta = opts.tie_break.empty() ? 0 : opts.tie_break[a];
+          const int tb = opts.tie_break.empty() ? 0 : opts.tie_break[b];
+          return std::tie(run.rank[a], ta, a) < std::tie(run.rank[b], tb, b);
+        });
+        expect_same_schedule(run.schedule,
+                             ref_greedy_from_list(scheduler, all, by_rank),
+                             all);
+        EXPECT_EQ(run.schedule.idle_slots(), ref_idle_slots(run.schedule))
+            << machine.name() << " seed " << seed << " step " << step;
+      }
     }
   }
 }
@@ -764,6 +972,190 @@ TEST(Differential, DelayIdleSlotsSessionIndependent) {
 
   expect_same_schedule(via_driver, s, all);
   EXPECT_EQ(d1, d2);
+}
+
+std::uint64_t count_of(const CounterDeltaMap& deltas, const char* name) {
+  const auto it = deltas.find(name);
+  return it == deltas.end() ? 0 : it->second;
+}
+
+void add_deltas(const CounterDeltaMap& from, CounterDeltaMap& into) {
+  for (const auto& [name, delta] : from) into[name] += delta;
+}
+
+/// Counter deltas of the optimized and the reference Move_Idle paths,
+/// summed over every compared sweep.
+struct MoveIdleTally {
+  CounterDeltaMap got;
+  CounterDeltaMap want;
+};
+
+/// Drives one Delay_Idle_Slots input — a schedule and its deadline map —
+/// through the optimized path and the verbatim reference: every idle slot
+/// alone through the one-shot move_idle_slot, then the whole sweep.
+void expect_move_idle_matches_reference(const RankScheduler& scheduler,
+                                        const Schedule& s,
+                                        const DeadlineMap& d,
+                                        const std::string& what,
+                                        MoveIdleTally& tally) {
+  const NodeSet& active = s.active();
+  const std::vector<IdleSlot> slots = s.idle_slots();
+  EXPECT_EQ(slots, ref_idle_slots(s)) << what;
+  for (const IdleSlot slot : slots) {
+    DeadlineMap got_d = d;
+    DeadlineMap want_d = d;
+    const MoveIdleResult got = move_idle_slot(scheduler, s, got_d, slot, {});
+    RankSession session(scheduler, active);
+    const MoveIdleResult want =
+        ref_move_idle_slot(session, s, want_d, slot, {});
+    const std::string at = what + " slot " + std::to_string(slot.unit) + "@" +
+                           std::to_string(slot.time);
+    EXPECT_EQ(got.moved, want.moved) << at;
+    EXPECT_EQ(got.slot, want.slot) << at;
+    expect_same_schedule(got.schedule, want.schedule, active);
+    EXPECT_EQ(got_d, want_d) << at;
+  }
+
+  DeadlineMap got_d = d;
+  DeadlineMap want_d = d;
+  const auto recorded = [](CounterDeltaMap& into, auto&& sweep) {
+    obs::CounterRecorder rec;
+    Schedule out = sweep();
+    add_deltas(rec.deltas(), into);
+    return out;
+  };
+  const Schedule got = recorded(tally.got, [&] {
+    return delay_idle_slots(scheduler, s, got_d, {});
+  });
+  const Schedule want = recorded(tally.want, [&] {
+    return ref_delay_idle_slots(scheduler, s, want_d, {});
+  });
+  expect_same_schedule(got, want, active);
+  EXPECT_EQ(got_d, want_d) << what;
+}
+
+/// The failure guards, the copy-free failure path and the batched counters
+/// must leave Move_Idle_Slot and Delay_Idle_Slots byte-identical to the
+/// verbatim reference on random blocks and on Lookahead's merged states of
+/// random-IR traces, on all four presets (guard (1) fires mostly on the
+/// multi-unit ones, whose extra units idle nearly every cycle).  Attempts,
+/// moves and rank runs keep their counts; the pruned attempts' deadline
+/// caps and incremental rank passes disappear.
+TEST(Differential, MoveIdleMatchesVerbatimReference) {
+  struct Preset {
+    const char* name;
+    MachineModel machine;
+  };
+  const std::vector<Preset> presets = {
+      {"scalar01", scalar01()},
+      {"rs6000", rs6000_like()},
+      {"deep", deep_pipeline()},
+      {"vliw4", vliw4()},
+  };
+  MoveIdleTally total;
+  for (const Preset& preset : presets) {
+    MoveIdleTally tally;
+    // Random blocks, scheduled with uniform deadlines normalized to the
+    // makespan (the block-scheduler and loop entry points).
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Prng prng(0x301e + seed * 409);
+      for (const bool layered : {false, true}) {
+        const DepGraph g = [&] {
+          if (!layered) {
+            return random_machine_block(prng, preset.machine,
+                                        /*num_nodes=*/24, /*edge_prob=*/0.2);
+          }
+          RandomBlockParams params;
+          params.num_nodes = 24;
+          params.layers = 12;
+          params.edge_prob = 0.8;
+          params.max_latency = 3;
+          return random_block(prng, params);
+        }();
+        const RankScheduler scheduler(g, preset.machine);
+        const NodeSet all = NodeSet::all(g.num_nodes());
+        DeadlineMap d = uniform_deadlines(g, huge_deadline(g, all));
+        const RankResult r = scheduler.run(all, d, {});
+        ASSERT_TRUE(r.feasible);
+        for (const NodeId id : all.ids()) d[id] = r.makespan;
+        expect_move_idle_matches_reference(
+            scheduler, r.schedule, d,
+            std::string(preset.name) + " block seed " + std::to_string(seed) +
+                (layered ? " layered" : ""),
+            tally);
+      }
+    }
+
+    // Random-IR traces: the Lookahead chain (Merge, Delay_Idle_Slots, Chop
+    // at W = 2), comparing every merged state it reaches.  Two shapes: the
+    // 16-register, 10%-memory traces that leave no chop point, and the
+    // generator defaults.
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Prng prng(0x1e7a + seed * 613);
+      for (const bool unchoppable : {true, false}) {
+        RandomIrParams ir;
+        ir.num_insts = 14;
+        if (unchoppable) {
+          ir.num_gprs = 16;
+          ir.mem_frac = 0.1;
+        }
+        const DepGraph g =
+            build_trace_graph(random_ir_trace(prng, ir, 3), preset.machine);
+        const RankScheduler scheduler(g, preset.machine);
+        const Time huge = huge_deadline(g, NodeSet::all(g.num_nodes()));
+        NodeSet old(g.num_nodes());
+        DeadlineMap deadlines = uniform_deadlines(g, huge);
+        Time t_old = 0;
+        const std::vector<NodeSet> blocks = blocks_of(g);
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+          MergeResult m = merge_blocks(scheduler, old, blocks[b], deadlines,
+                                       t_old, huge, {});
+          deadlines = std::move(m.deadlines);
+          expect_move_idle_matches_reference(
+              scheduler, m.schedule, deadlines,
+              std::string(preset.name) + " trace seed " +
+                  std::to_string(seed) + " block " + std::to_string(b) +
+                  (unchoppable ? " unchoppable" : ""),
+              tally);
+          const Schedule merged =
+              delay_idle_slots(scheduler, std::move(m.schedule), deadlines, {});
+          const ChopResult c = chop(merged, deadlines, /*window=*/2);
+          old = c.suffix;
+          t_old = c.suffix_makespan;
+        }
+      }
+    }
+
+    for (const char* name :
+         {obs::ctr::kIdleMoveAttempts, obs::ctr::kIdleSlotsMoved,
+          obs::ctr::kRankRuns, obs::ctr::kRankNodesRanked,
+          obs::ctr::kRankInfeasible}) {
+      EXPECT_EQ(count_of(tally.got, name), count_of(tally.want, name))
+          << preset.name << " " << name;
+    }
+    for (const char* name :
+         {obs::ctr::kDeadlinesTightened, obs::ctr::kRankIncrementalPasses,
+          obs::ctr::kRankNodesReranked}) {
+      EXPECT_LE(count_of(tally.got, name), count_of(tally.want, name))
+          << preset.name << " " << name;
+    }
+    EXPECT_EQ(count_of(tally.want, obs::ctr::kIdleMovesPruned), 0u);
+    if (obs::kHooksCompiledIn && preset.machine.total_units() > 1) {
+      EXPECT_GT(count_of(tally.got, obs::ctr::kIdleMovesPruned), 0u)
+          << preset.name;
+    }
+    add_deltas(tally.got, total.got);
+    add_deltas(tally.want, total.want);
+  }
+  if (obs::kHooksCompiledIn) {
+    // Every path was exercised: pruned attempts, attempts that reach the
+    // rank runs, and moves.
+    const std::uint64_t attempts =
+        count_of(total.got, obs::ctr::kIdleMoveAttempts);
+    EXPECT_GT(count_of(total.got, obs::ctr::kIdleMovesPruned), 0u);
+    EXPECT_LT(count_of(total.got, obs::ctr::kIdleMovesPruned), attempts);
+    EXPECT_GT(count_of(total.got, obs::ctr::kIdleSlotsMoved), 0u);
+  }
 }
 
 void expect_same_lookahead(const LookaheadResult& got,

@@ -363,6 +363,40 @@ TEST_F(ServerTest, MalformedRequestsGetErrorRepliesNotCrashes) {
   EXPECT_TRUE(resp.ok) << resp.message;
 }
 
+/// A branch in mid-block parses fine but breaks the dependence builder's
+/// block-structure invariant; compile_ir must reject it with an ERR reply
+/// naming the block, in every mode, instead of aborting the daemon.
+TEST_F(ServerTest, MidBlockBranchGetsErrorReplyNamingTheBlock) {
+  const std::string body =
+      "block a:\n  ADD r1, r2, r3\n  B a\n  ADD r4, r1, r1\n";
+  for (const char* mode : {"trace", "loop", "cfg"}) {
+    server::CompileOptions options;
+    options.mode = mode;
+    server::WorkerScratch scratch;
+    server::Response reply;
+    server::compile_ir(body, options, scratch, &reply);
+    EXPECT_FALSE(reply.ok) << mode;
+    EXPECT_NE(reply.message.find("block a"), std::string::npos)
+        << mode << ": " << reply.message;
+  }
+
+  StartServer("midbranch");
+  server::Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect(socket_path_, &error)) << error;
+  server::Response resp;
+  ASSERT_TRUE(client.call(compile_request(body), &resp, &error)) << error;
+  EXPECT_FALSE(resp.ok);
+  EXPECT_NE(resp.message.find("block a"), std::string::npos) << resp.message;
+
+  // The daemon survived and still serves well-formed bodies.
+  ASSERT_TRUE(client.call(
+      compile_request("block a:\n  ADD r1, r2, r3\n  ADD r4, r1, r1\n"),
+      &resp, &error))
+      << error;
+  EXPECT_TRUE(resp.ok) << resp.message;
+}
+
 TEST_F(ServerTest, OversizedFrameGetsErrorReplyThenClose) {
   StartServer("oversized", [](server::ServerOptions& options) {
     options.max_frame_bytes = 4096;

@@ -2,6 +2,7 @@
 // real binaries on real assembly files and check their output parses,
 // preserves semantics, and reproduces the paper's Figure 3 transformation.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -195,6 +196,26 @@ TEST(Aislint, RejectsStructurallyBrokenProgram) {
   std::string out;
   EXPECT_NE(run_tool(std::string(AISLINT_BINARY) + " --in " + in, &out), 0);
   EXPECT_NE(out.find("branch-position"), std::string::npos) << out;
+}
+
+TEST(Aisc, MidBlockBranchExitsNonZeroWithoutAborting) {
+  const char* text = R"(
+    block a:
+      ADD r1, r2, r3
+      B   a
+      ADD r4, r1, r1
+  )";
+  const std::string in = write_temp("midblock_branch.s", text);
+  for (const char* mode : {"trace", "loop", "cfg"}) {
+    std::string out, err;
+    const int status = run_tool_with_stderr(
+        std::string(AISC_BINARY) + " --in " + in + " --mode " + mode, &out,
+        &err);
+    ASSERT_TRUE(WIFEXITED(status)) << mode << ": killed by a signal\n" << err;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << mode;
+    EXPECT_TRUE(out.empty()) << mode;
+    EXPECT_NE(err.find("block a"), std::string::npos) << mode << ": " << err;
+  }
 }
 
 TEST(Aislint, ListRulesPrintsTheRegistry) {

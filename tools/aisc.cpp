@@ -148,6 +148,10 @@ int main(int argc, char** argv) {
   text << in.rdbuf();
 
   const Program prog = parse_program(text.str());
+  if (const std::string error = branch_position_error(prog); !error.empty()) {
+    std::fprintf(stderr, "aisc: bad IR: %s\n", error.c_str());
+    return 1;
+  }
   const MachineModel& machine =
       machine_by_name(args.get_string("machine", "rs6000"));
   const int window = static_cast<int>(args.get_int("window", 0));
