@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -13,9 +12,6 @@
 #include "core/schedule_cache.hpp"
 #include "obs/obs.hpp"
 #include "support/assert.hpp"
-#include "support/mutex.hpp"
-#include "support/stopwatch.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ais {
 namespace {
@@ -26,226 +22,6 @@ std::uint32_t dense_index(const CacheKey& key, NodeId id) {
   AIS_CHECK(it != key.ids.end() && *it == id,
             "scheduled node missing from its cache key");
   return static_cast<std::uint32_t>(it - key.ids.begin());
-}
-
-/// Cold-path pre-scheduling (opts.jobs > 1): one standalone RankSession per
-/// block — topological order, descendant closure, initial ranks and the
-/// standalone greedy schedule — is warmed on thread-pool workers while the
-/// serial Merge/Chop chain drains blocks in trace order and consumes the
-/// artifacts through MergeSeed.  The substrate work runs through
-/// run_silent(), so no counter delta ever originates on a worker thread:
-/// every bump the serial path reports is issued (or re-issued) on the
-/// compiling thread, inside its CounterRecorder, keeping cache-on/off and
-/// jobs-1/jobs-N counter streams identical.  Workers are submitted in trace
-/// order, so by the time the consumer needs block i the pool has usually
-/// finished it and is ahead warming later blocks.
-class BlockPrescheduler {
- public:
-  struct Substrate {
-    std::unique_ptr<RankSession> session;
-    std::optional<RankResult> standalone;
-    bool ready = false;
-  };
-
-  /// Requires jobs > 1 (callers keep jobs <= 1 on the plain serial path).
-  BlockPrescheduler(const RankScheduler& scheduler,
-                    const std::vector<NodeSet>& blocks, Time huge,
-                    const RankOptions& rank_opts, int jobs)
-      : scheduler_(scheduler),
-        blocks_(blocks),
-        huge_(huge),
-        rank_opts_(rank_opts),
-        subs_(blocks.size()),
-        pool_(std::min(jobs, static_cast<int>(blocks.size()) + 1)) {
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-      if (blocks_[i].empty()) continue;
-      pool_.submit([this, i] {
-        // The expensive warm-up runs unlocked on scratch locals; only the
-        // hand-off into subs_ is a critical section.
-        auto session =
-            std::make_unique<RankSession>(scheduler_, blocks_[i]);
-        std::optional<RankResult> standalone = session->run_silent(
-            uniform_deadlines(scheduler_.graph(), huge_), rank_opts_);
-        {
-          MutexLock lock(mu_);
-          Substrate& sub = subs_[i];
-          sub.session = std::move(session);
-          sub.standalone = std::move(standalone);
-          sub.ready = true;
-        }
-        cv_.notify_all();
-      });
-    }
-  }
-
-  /// Blocks computed for step-cache hits are speculative waste; the pool is
-  /// drained before members die either way.
-  ~BlockPrescheduler() { pool_.wait_idle(); }
-
-  /// The warmed substrate of (non-empty) block `i`; blocks until the pool
-  /// delivers it.  The returned reference is safe to use unlocked: once
-  /// ready, no worker touches the slot again, so the consumer has exclusive
-  /// access until destruction.
-  Substrate& take(std::size_t i) AIS_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    while (!subs_[i].ready) cv_.wait(mu_);
-    return subs_[i];
-  }
-
- private:
-  const RankScheduler& scheduler_;
-  const std::vector<NodeSet>& blocks_;
-  const Time huge_;
-  const RankOptions rank_opts_;
-  std::vector<Substrate> subs_ AIS_GUARDED_BY(mu_);
-  Mutex mu_;
-  CondVar cv_;
-  ThreadPool pool_;  // last member: joins before the state above dies
-};
-
-/// Places `list`'s nodes in exactly that order: each node starts at the
-/// earliest dependence- and resource-legal cycle whose (start, unit) pair
-/// lexicographically follows its list predecessor's, so the resulting
-/// schedule's permutation() *is* `list`.  Unlike greedy_from_list — which
-/// re-derives the order from start times, letting stalled nodes slip past
-/// lower-priority ones — the planning order is pinned here, which is what
-/// the fill-depth cap needs: a bound on the order, not on start times.
-Schedule place_in_list_order(const RankScheduler& scheduler,
-                             const NodeSet& active,
-                             const std::vector<NodeId>& list) {
-  const DepGraph& g = scheduler.graph();
-  const MachineModel& machine = scheduler.machine();
-
-  // Global unit indexing is class-major, matching validate_schedule.
-  std::vector<int> unit_base(
-      static_cast<std::size_t>(machine.num_fu_classes()), 0);
-  int total_units = 0;
-  for (int c = 0; c < machine.num_fu_classes(); ++c) {
-    unit_base[static_cast<std::size_t>(c)] = total_units;
-    total_units += machine.fu_count(c);
-  }
-
-  Schedule sched(&g, active, total_units);
-  std::vector<Time> unit_free(static_cast<std::size_t>(total_units), 0);
-  Time t_prev = 0;
-  int u_prev = -1;
-  int issued_this_cycle = 0;  // issue-width use at cycle t_prev
-  const Time t_limit = g.total_work() +
-                       static_cast<Time>(list.size() + 1) *
-                           (g.max_latency() + 1) +
-                       1;
-
-  for (const NodeId id : list) {
-    const NodeInfo& info = g.node(id);
-    Time est = 0;
-    for (const auto eidx : g.in_edges(id)) {
-      const DepEdge& e = g.edge(eidx);
-      if (e.distance == 0 && active.contains(e.from)) {
-        AIS_CHECK(sched.placed(e.from),
-                  "in-order placement list is not dependence consistent");
-        est = std::max(est, sched.completion(e.from) + e.latency);
-      }
-    }
-
-    Time t = std::max(est, t_prev);
-    int unit = -1;
-    const int base = unit_base[static_cast<std::size_t>(info.fu_class)];
-    while (unit < 0) {
-      AIS_CHECK(t <= t_limit, "in-order placement failed to make progress");
-      const int width_used = (t == t_prev) ? issued_this_cycle : 0;
-      if (width_used < machine.issue_width()) {
-        for (int k = 0; k < machine.fu_count(info.fu_class); ++k) {
-          const int u = base + k;
-          // Same-cycle placements must advance the unit index, or the
-          // permutation's (start, unit) sort would swap the pair.
-          if (t == t_prev && u <= u_prev) continue;
-          if (unit_free[static_cast<std::size_t>(u)] <= t) {
-            unit = u;
-            break;
-          }
-        }
-      }
-      if (unit < 0) ++t;
-    }
-
-    sched.place(id, t, unit);
-    issued_this_cycle = (t == t_prev) ? issued_this_cycle + 1 : 1;
-    unit_free[static_cast<std::size_t>(unit)] = t + info.exec_time;
-    t_prev = t;
-    u_prev = unit;
-  }
-  return sched;
-}
-
-/// Enforces opts.fill_cap on one merged planning order: afterwards at most
-/// `cap` old-suffix instructions follow any new-block instruction, i.e. the
-/// incoming block only fills idle slots among the last `cap` retained old
-/// instructions.  New nodes packed deeper are relocated — keeping their
-/// relative order, and the old nodes' — to just past the cap boundary, and
-/// the schedule is rebuilt by order-pinned placement so the bound holds in
-/// the final permutation; `deadlines` are raised to the rebuilt completions
-/// so downstream passes (chop, the next merge's caps) stay consistent.
-/// New nodes with a distance-0 path to a retained old node are pinned in
-/// place — relocating them past their old successors would be illegal, so
-/// the bound is dependence-limited for them.  A no-op when the suffix
-/// already fits the cap, so fill_cap >= |old| behaves exactly like
-/// uncapped.
-Schedule cap_fill_depth(const RankScheduler& scheduler, Schedule merged,
-                        const NodeSet& old_nodes, int cap,
-                        DeadlineMap& deadlines) {
-  const DepGraph& g = scheduler.graph();
-  const std::vector<NodeId> perm = merged.permutation();
-  std::size_t old_count = 0;
-  for (const NodeId id : perm) {
-    if (old_nodes.contains(id)) ++old_count;
-  }
-  if (old_count <= static_cast<std::size_t>(cap)) return merged;
-  const std::size_t prefix_olds = old_count - static_cast<std::size_t>(cap);
-
-  // Distance-0 reachability to an old node (perm is dependence consistent,
-  // so one reverse sweep settles the transitive closure).
-  std::vector<char> reaches_old(g.num_nodes(), 0);
-  for (auto it = perm.rbegin(); it != perm.rend(); ++it) {
-    const NodeId id = *it;
-    if (old_nodes.contains(id)) {
-      reaches_old[id] = 1;
-      continue;
-    }
-    for (const auto eidx : g.out_edges(id)) {
-      const DepEdge& e = g.edge(eidx);
-      if (e.distance == 0 && merged.active().contains(e.to) &&
-          reaches_old[e.to] != 0) {
-        reaches_old[id] = 1;
-        break;
-      }
-    }
-  }
-
-  std::vector<NodeId> legalized;
-  legalized.reserve(perm.size());
-  std::vector<NodeId> relocated;
-  std::size_t olds_seen = 0;
-  for (const NodeId id : perm) {
-    if (olds_seen < prefix_olds) {
-      if (reaches_old[id] != 0) {
-        legalized.push_back(id);
-        if (old_nodes.contains(id) && ++olds_seen == prefix_olds) {
-          legalized.insert(legalized.end(), relocated.begin(),
-                           relocated.end());
-        }
-      } else {
-        relocated.push_back(id);
-      }
-    } else {
-      legalized.push_back(id);
-    }
-  }
-
-  Schedule rebuilt = place_in_list_order(scheduler, merged.active(), legalized);
-  for (const NodeId id : legalized) {
-    deadlines[id] = std::max(deadlines[id], rebuilt.completion(id));
-  }
-  return rebuilt;
 }
 
 }  // namespace
@@ -298,10 +74,6 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
   params.do_chop = opts.do_chop;
   params.split_long_ops = opts.rank.split_long_ops;
   params.tie_break = &opts.rank.tie_break;
-  params.fill_cap = opts.fill_cap;
-  // opts.jobs / opts.preschedule are deliberately absent from the key: the
-  // substrate pipeline never changes the answer, so cache entries are
-  // shared across every --jobs value.
 
   LookaheadResult out;
   bool solved_from_cache = false;
@@ -325,16 +97,6 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
     obs::CounterRecorder trace_rec(cache != nullptr);
     AIS_OBS_COUNT(obs::ctr::kLookaheadBlocks, blocks.size());
 
-    // Cold path: fan the per-block substrate work out over a pool while the
-    // serial chain below consumes it.  Only worth spinning up when merges
-    // will actually run (the ablation path schedules from scratch and the
-    // trace-cache hit above never reaches here).
-    const int jobs = clamp_jobs(opts.jobs);
-    std::optional<BlockPrescheduler> presched;
-    if (opts.preschedule && jobs > 1 && opts.merge_deadline_caps) {
-      presched.emplace(scheduler, blocks, huge, opts.rank, jobs);
-    }
-
     NodeSet old(g.num_nodes());
     DeadlineMap deadlines = uniform_deadlines(g, huge);
     Time t_old = 0;
@@ -342,9 +104,7 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
     // appended to the emitted prefixes after the loop.
     std::vector<NodeId> last_suffix_order;
 
-    for (std::size_t block_index = 0; block_index < blocks.size();
-         ++block_index) {
-      const NodeSet& new_nodes = blocks[block_index];
+    for (const NodeSet& new_nodes : blocks) {
       if (new_nodes.empty()) continue;
 
       CacheKey step_key;
@@ -382,27 +142,8 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
 
       Schedule merged(&g, NodeSet(g.num_nodes()), 1);
       if (opts.merge_deadline_caps) {
-        MergeSeed seed;
-        MergeSeed* seed_ptr = nullptr;
-        if (presched.has_value()) {
-          BlockPrescheduler::Substrate& sub = presched->take(block_index);
-          seed.session = sub.session.get();
-          seed.standalone = &*sub.standalone;
-          seed.huge = huge;
-          seed_ptr = &seed;
-        }
-        // Graft latency: how long the serial chain spends consuming one
-        // prescheduled substrate.  A wall-clock ("time.") histogram, so it
-        // never enters the step recorder or a cache value.
-        const std::int64_t graft_start_us =
-            seed_ptr != nullptr && obs::enabled() ? Stopwatch::now_us() : -1;
         MergeResult m = merge_blocks(scheduler, old, new_nodes, deadlines,
-                                     t_old, huge, opts.rank, seed_ptr);
-        if (graft_start_us >= 0) {
-          AIS_OBS_VALUE(obs::hist::kGraftUs,
-                        static_cast<std::uint64_t>(Stopwatch::now_us() -
-                                                   graft_start_us));
-        }
+                                     t_old, huge, opts.rank);
         deadlines = std::move(m.deadlines);
         merged = std::move(m.schedule);
       } else {
@@ -420,10 +161,6 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
       if (opts.delay_idle) {
         merged = delay_idle_slots(scheduler, std::move(merged), deadlines,
                                   opts.rank);
-      }
-      if (opts.fill_cap > 0 && !old.empty()) {
-        merged = cap_fill_depth(scheduler, std::move(merged), old,
-                                opts.fill_cap, deadlines);
       }
       out.diag.merged_makespans.push_back(merged.makespan());
 

@@ -35,24 +35,6 @@ struct LookaheadOptions {
   bool delay_idle = true;     // run Delay_Idle_Slots after each merge
   bool merge_deadline_caps = true;  // cap old deadlines in merge
   bool do_chop = true;        // emit settled prefixes (off = re-merge all)
-  /// Worker threads for cold-path pre-scheduling: with jobs > 1 every
-  /// block's standalone substrate (topo order, descendant closure, initial
-  /// ranks, standalone schedule) is computed concurrently on a thread pool
-  /// while the serial Merge/Chop chain consumes the artifacts.  Output is
-  /// byte-identical at every jobs value, counters included; jobs <= 0 means
-  /// one worker per hardware thread.  jobs == 1 is the plain serial path.
-  int jobs = 1;
-  /// Gates the substrate pipeline above (only meaningful with jobs > 1);
-  /// off = jobs > 1 degenerates to the serial path.  Exposed so tests and
-  /// benchmarks can isolate the pre-scheduling machinery.
-  bool preschedule = true;
-  /// Cap on the Merge fill depth: with fill_cap = C > 0, new-block nodes
-  /// may only fill idle slots among the last C retained old instructions of
-  /// the planning order (at most C old nodes follow any new node).  0 means
-  /// uncapped — the advisory order may promise overlap deeper than the
-  /// hardware window reaches (ROADMAP `window-span`).  Changes the emitted
-  /// code, so it is part of the schedule-cache key.
-  int fill_cap = 0;
 };
 
 struct LookaheadDiagnostics {

@@ -36,7 +36,7 @@ MergeResult make_result(RankResult result, DeadlineMap d_cur, Time relax) {
 MergeResult merge_blocks(const RankScheduler& scheduler,
                          const NodeSet& old_nodes, const NodeSet& new_nodes,
                          const DeadlineMap& deadlines, Time t_old, Time huge,
-                         const RankOptions& opts, MergeSeed* seed) {
+                         const RankOptions& opts) {
   AIS_OBS_SPAN("merge");
   AIS_OBS_COUNT(obs::ctr::kMergeCalls);
   const DepGraph& g = scheduler.graph();
@@ -46,49 +46,14 @@ MergeResult merge_blocks(const RankScheduler& scheduler,
   const std::vector<NodeId> old_ids = old_nodes.ids();
   const std::vector<NodeId> new_ids = new_nodes.ids();
 
-  // Seed gate: the pre-scheduled standalone substrate is byte-equivalent to
-  // recomputation only when its artificial deadline matches this merge's
-  // lower pass and nothing in the new block feeds a retained old node at
-  // distance 0 (trace dependences flow forward, so this passes essentially
-  // always; irregular graphs fall back silently to the unseeded path).
-  bool seed_usable = seed != nullptr && seed->session != nullptr &&
-                     seed->standalone != nullptr && seed->huge == huge;
-  if (seed_usable && !old_nodes.empty()) {
-    for (const NodeId x : new_ids) {
-      for (const auto eidx : g.out_edges(x)) {
-        const DepEdge& e = g.edge(eidx);
-        if (e.distance == 0 && old_nodes.contains(e.to)) {
-          seed_usable = false;
-          break;
-        }
-      }
-      if (!seed_usable) break;
-    }
-  }
-
   // One session drives every Rank Algorithm run below: the active set is
   // fixed at old ∪ new, only deadlines move, so the topological order and
   // descendant closure are built once and rank updates are incremental.
-  // With no old suffix the union *is* the new block and the warmed donor
-  // session is adopted outright; otherwise the union session copies the
-  // donor's closure rows and preseeds its first full pass with the donor's
-  // ranks, packing only the old nodes.
-  const bool adopt_donor = seed_usable && old_nodes.empty();
-  std::optional<RankSession> local_session;
-  if (!adopt_donor) {
-    local_session.emplace(scheduler, cur,
-                          seed_usable ? seed->session : nullptr);
-    if (seed_usable) local_session->seed_full_pass(*seed->session);
-  }
-  RankSession& session = adopt_donor ? *seed->session : *local_session;
+  RankSession session(scheduler, cur);
 
-  // Lower-bound pass: one huge uniform deadline.  An adopted donor already
-  // ran exactly this pass (silently, possibly on a pool worker); re-issue
-  // its counter bumps on this thread and reuse the result.
+  // Lower-bound pass: one huge uniform deadline.
   DeadlineMap d_cur = uniform_deadlines(g, huge);
-  const RankResult lower =
-      adopt_donor ? std::move(*seed->standalone) : session.run(d_cur, opts);
-  if (adopt_donor) session.count_run_telemetry(lower);
+  const RankResult lower = session.run(d_cur, opts);
   AIS_CHECK(lower.feasible, "unconstrained merge schedule must be feasible");
   const Time t_lower = lower.makespan;
 

@@ -35,31 +35,12 @@ struct MergeResult {
   Time relax = 0;
 };
 
-/// Pre-scheduled substrate for the incoming block, produced ahead of time by
-/// the lookahead prescheduler (possibly on a thread-pool worker): a
-/// standalone RankSession over exactly the new nodes whose ranks were warmed
-/// by run_silent under the uniform deadline `huge`, plus that run's result.
-/// merge_blocks consumes it only when it can prove byte-identity with the
-/// unseeded path: `huge` must match merge's own lower-pass deadline and no
-/// distance-0 edge may run from a new node into `old_nodes` (otherwise the
-/// standalone ranks/closure rows would differ from the union's).  The
-/// session is mutated on consumption; a seed is good for one merge.
-struct MergeSeed {
-  RankSession* session = nullptr;
-  /// run_silent result of `session` under uniform `huge` deadlines with the
-  /// same RankOptions the merge will use; moved from on adoption.
-  RankResult* standalone = nullptr;
-  Time huge = 0;
-};
-
 /// Merges `old_nodes` (with current deadlines in `deadlines`, scheduled
 /// alone in `t_old` cycles) with `new_nodes`.  `deadlines` entries of new
 /// nodes are ignored on input.  `huge` is the artificial deadline D.
-/// `seed`, when usable (see MergeSeed), only changes how the answer is
-/// computed — never the answer or its counter deltas.
 MergeResult merge_blocks(const RankScheduler& scheduler,
                          const NodeSet& old_nodes, const NodeSet& new_nodes,
                          const DeadlineMap& deadlines, Time t_old, Time huge,
-                         const RankOptions& opts = {}, MergeSeed* seed = nullptr);
+                         const RankOptions& opts = {});
 
 }  // namespace ais

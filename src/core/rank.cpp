@@ -285,16 +285,11 @@ RankResult RankScheduler::run(const NodeSet& active,
 
 // --- RankSession ---------------------------------------------------------
 
-RankSession::RankSession(const RankScheduler& scheduler, const NodeSet& active,
-                         const RankSession* substrate_donor)
+RankSession::RankSession(const RankScheduler& scheduler, const NodeSet& active)
     : scheduler_(&scheduler),
       active_(active),
       active_ids_(active.ids()),
-      closure_(substrate_donor == nullptr
-                   ? DescendantClosure(scheduler.graph(), active, &arena_)
-                   : DescendantClosure(scheduler.graph(), active,
-                                       substrate_donor->closure_,
-                                       substrate_donor->active_, &arena_)),
+      closure_(scheduler.graph(), active, &arena_),
       exec_(ArenaAllocator<Time>(arena_)),
       fu_class_(ArenaAllocator<std::int32_t>(arena_)),
       succ_begin_(ArenaAllocator<std::uint32_t>(arena_)),
@@ -506,35 +501,13 @@ const std::vector<Time>& RankSession::compute_ranks(
     // are always a subset (reverse topo), so one membership-filtered scan
     // extracts them already sorted — the per-node sort of rerank_node is
     // replaced by an O(processed) scan plus one ordered insert.
-    //
-    // A pending seed_full_pass donor short-circuits the donated nodes: their
-    // ranks and descendant parts are adopted verbatim (with by_rank_
-    // initialized from the donor's already-sorted ordering) and the loop
-    // packs only the rest.  Donated ranks are final before any remaining
-    // node is processed, and a full pass depends only on final descendant
-    // ranks, so the outcome is byte-exact against the unseeded pass.
     std::fill(rank_.begin(), rank_.end(), kInf);
     by_rank_.clear();
-    const RankSession* donor = pending_seed_;
-    pending_seed_ = nullptr;
-    if (donor != nullptr) {
-      AIS_CHECK(donor->cached_split_ == opts.split_long_ops,
-                "rank seed split_long_ops mismatch");
-      by_rank_.assign(donor->by_rank_.begin(), donor->by_rank_.end());
-      refresh_rank_pos(0, by_rank_.size());
-      for (const DescEntry& e : by_rank_) {
-        AIS_CHECK(deadlines[e.id] == donor->cached_deadlines_[e.id],
-                  "rank seed deadline mismatch");
-        rank_[e.id] = e.rank;
-        desc_part_[e.id] = donor->desc_part_[e.id];
-      }
-    }
     const auto before = [](const DescEntry& a, const DescEntry& b) {
       return a.rank != b.rank ? a.rank > b.rank : a.id < b.id;
     };
     for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
       const NodeId x = *it;
-      if (donor != nullptr && donor->active_.contains(x)) continue;
       pack_and_finish(x, deadlines, opts);
       const DescEntry self{rank_[x], x};
       const auto at =
@@ -628,36 +601,11 @@ void RankSession::restore_snapshot() {
   cached_deadlines_ = snap_deadlines_;
 }
 
-void RankSession::seed_full_pass(const RankSession& donor) {
-  AIS_CHECK(!has_ranks_, "seed_full_pass requires an unused session");
-  AIS_CHECK(donor.has_ranks_, "seed_full_pass requires a warmed donor");
-  pending_seed_ = &donor;
-}
-
 RankResult RankSession::run(const DeadlineMap& deadlines,
                             const RankOptions& opts) {
   AIS_OBS_SPAN("rank");
-  return run_impl(deadlines, opts, /*count=*/true);
-}
-
-RankResult RankSession::run_silent(const DeadlineMap& deadlines,
-                                   const RankOptions& opts) {
-  AIS_OBS_SPAN("rank");
-  return run_impl(deadlines, opts, /*count=*/false);
-}
-
-void RankSession::count_run_telemetry(const RankResult& result) const {
   AIS_OBS_COUNT(obs::ctr::kRankRuns);
   AIS_OBS_COUNT(obs::ctr::kRankNodesRanked, active_.size());
-  if (!result.feasible) AIS_OBS_COUNT(obs::ctr::kRankInfeasible);
-}
-
-RankResult RankSession::run_impl(const DeadlineMap& deadlines,
-                                 const RankOptions& opts, bool count) {
-  if (count) {
-    AIS_OBS_COUNT(obs::ctr::kRankRuns);
-    AIS_OBS_COUNT(obs::ctr::kRankNodesRanked, active_.size());
-  }
   bool structurally_feasible = true;
   const std::vector<Time>& rank =
       compute_ranks(deadlines, opts, &structurally_feasible);
@@ -736,7 +684,7 @@ RankResult RankSession::run_impl(const DeadlineMap& deadlines,
       break;
     }
   }
-  if (count && !result.feasible) AIS_OBS_COUNT(obs::ctr::kRankInfeasible);
+  if (!result.feasible) AIS_OBS_COUNT(obs::ctr::kRankInfeasible);
   return result;
 }
 

@@ -135,17 +135,7 @@ class RankSession {
  public:
   /// `scheduler` must outlive the session; `active` is copied.  The active
   /// induced subgraph must be acyclic.
-  ///
-  /// When `substrate_donor` is given (a session over a *subset* of `active`,
-  /// typically a standalone block session warmed by the lookahead
-  /// prescheduler), the descendant-closure rows of the donor's nodes are
-  /// copied instead of recomputed.  The caller must guarantee the donated
-  /// rows are valid in this session's induced subgraph: no distance-0 edge
-  /// may leave the donor's active set into the rest of `active` (the merge
-  /// seed gate checks exactly this).  The donor is only read during
-  /// construction and seed_full_pass; it need not outlive the session.
-  explicit RankSession(const RankScheduler& scheduler, const NodeSet& active,
-                       const RankSession* substrate_donor = nullptr);
+  explicit RankSession(const RankScheduler& scheduler, const NodeSet& active);
 
   /// Ranks of the active nodes under `deadlines`; same contract as
   /// RankScheduler::compute_ranks.  The returned reference is invalidated
@@ -156,31 +146,6 @@ class RankSession {
 
   /// Ranks + greedy schedule; same contract as RankScheduler::run.
   RankResult run(const DeadlineMap& deadlines, const RankOptions& opts = {});
-
-  /// run() minus its telemetry counter bumps (rank.runs / rank.nodes_ranked
-  /// / rank.infeasible).  Used by the lookahead prescheduler to warm
-  /// sessions on thread-pool workers, where counter deltas would escape the
-  /// compiling thread's CounterRecorder and break cache-on/off counter
-  /// identity; the serial consumer re-issues the bumps through
-  /// count_run_telemetry when it adopts the result.
-  RankResult run_silent(const DeadlineMap& deadlines,
-                        const RankOptions& opts = {});
-
-  /// Re-issues, on the calling thread, exactly the counter bumps a run()
-  /// that produced `result` would have made.
-  void count_run_telemetry(const RankResult& result) const;
-
-  /// Preseeds the next *full* compute_ranks pass with `donor`'s rank cache:
-  /// every donor-active node adopts its donor rank and descendant part
-  /// verbatim and is skipped by the backward pass, which packs only the
-  /// remaining nodes.  Requirements (checked where cheap): this session has
-  /// not computed ranks yet; the donor has; the next call's deadlines match
-  /// the donor's cached deadlines on donated nodes; split_long_ops matches;
-  /// and donated nodes' descendant sets here equal their donor sets (same
-  /// gate as the substrate-donor constructor).  The result is byte-exact
-  /// against an unseeded full pass because a full pass depends only on the
-  /// final ranks of each node's descendants, not on the processing order.
-  void seed_full_pass(const RankSession& donor);
 
   /// Saves the current rank cache (ranks, descendant parts, rank ordering,
   /// deadlines).  Requires ranks to have been computed.
@@ -222,9 +187,6 @@ class RankSession {
   /// Moves x's by_rank_ entry from its old_rank position to where rank_[x]
   /// now sorts it.
   void reposition(NodeId x, Time old_rank);
-  /// Shared body of run() / run_silent().
-  RankResult run_impl(const DeadlineMap& deadlines, const RankOptions& opts,
-                      bool count);
 
   const RankScheduler* scheduler_;
   NodeSet active_;
@@ -267,8 +229,6 @@ class RankSession {
   // ranks did not — reranks in O(1) instead of repacking its closure.
   bool has_ranks_ = false;
   bool cached_split_ = false;
-  /// Donor for the next full pass (seed_full_pass); cleared on consumption.
-  const RankSession* pending_seed_ = nullptr;
   DeadlineMap cached_deadlines_;
   std::vector<Time> rank_;
   ArenaVector<Time> desc_part_;

@@ -235,7 +235,6 @@ void serialize_prefix(std::string& b, char kind,
   }
   put_i64(b, static_cast<std::int64_t>(params.window));
   put_i64(b, params.huge);
-  put_i64(b, static_cast<std::int64_t>(params.fill_cap));
   put_u8(b, flags_of(params, has_tie));
 }
 
@@ -317,7 +316,6 @@ bool decode_key(std::string_view bytes, DecodedKey& out) {
   for (std::uint32_t i = 0; i < 3 * num_timings; ++i) r.u32();
   r.i64();  // window
   r.i64();  // huge
-  r.i64();  // fill_cap
   const std::uint8_t flags = r.u8();
   out.has_tie = (flags & kFlagHasTie) != 0;
   if (out.kind == kTraceKind) {
@@ -361,7 +359,7 @@ std::size_t prefix_length(char kind, std::uint32_t num_classes) {
   std::size_t len = 1 + 4 + 4;                       // kind + versions
   len += 4 + 4 + 4ULL * num_classes;                 // machine shape
   len += 4 + 12ULL * kNumOpClasses;                  // timing table
-  len += 8 + 8 + 8 + 1;                              // window, huge, fill_cap, flags
+  len += 8 + 8 + 1;                                  // window, huge, flags
   len += kind == kTraceKind ? 4 : 8;                 // block count / t_old
   return len;
 }

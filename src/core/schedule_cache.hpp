@@ -73,7 +73,8 @@ namespace ais {
 inline constexpr std::uint32_t kScheduleCacheAlgoVersion = 2;
 /// Bump when the key or value serialization layout changes.
 /// v3: values grew per-name histogram sample lists (value_samples).
-inline constexpr std::uint32_t kScheduleCacheFormatVersion = 3;
+/// v4: the key prefix lost its 8-byte Merge fill-depth cap field.
+inline constexpr std::uint32_t kScheduleCacheFormatVersion = 4;
 
 /// A canonical scheduling-instance key plus the remap table for its hits.
 struct CacheKey {
@@ -95,9 +96,6 @@ struct CacheInstanceParams {
   bool merge_deadline_caps = true;
   bool do_chop = true;
   bool split_long_ops = false;
-  /// LookaheadOptions::fill_cap: caps how deep Merge fills new-block nodes
-  /// into the retained suffix.  Changes emitted code, hence part of the key.
-  int fill_cap = 0;
   /// RankOptions::tie_break, indexed by caller NodeId; empty = id order.
   const std::vector<int>* tie_break = nullptr;
 };

@@ -51,7 +51,7 @@ Time ScheduledTrace::simulated_cycles(const MachineModel& machine) const {
 }
 
 ScheduledTrace schedule(const Trace& trace, const MachineModel& machine,
-                        int window, const DepBuildOptions& deps, int jobs) {
+                        int window, const DepBuildOptions& deps) {
   AIS_OBS_SPAN("compile.trace");
   AIS_OBS_TIMER(obs::hist::kCompileTraceUs);
   const int w = resolve_window(machine, window);
@@ -62,7 +62,6 @@ ScheduledTrace schedule(const Trace& trace, const MachineModel& machine,
   const RankScheduler scheduler(g, machine);
   LookaheadOptions opts;
   opts.window = w;
-  opts.jobs = jobs;
   LookaheadResult detail = schedule_trace(scheduler, opts);
 
   ScheduledTrace out{

@@ -39,12 +39,9 @@ struct ScheduledLoop {
 };
 
 /// Anticipatorily schedules `trace` for `machine`.  `window` = 0 uses the
-/// machine's default lookahead window.  `jobs` > 1 pre-schedules block
-/// substrates on that many pool workers (LookaheadOptions::jobs); the
-/// output is byte-identical at every jobs value.
+/// machine's default lookahead window.
 ScheduledTrace schedule(const Trace& trace, const MachineModel& machine,
-                        int window = 0, const DepBuildOptions& deps = {},
-                        int jobs = 1);
+                        int window = 0, const DepBuildOptions& deps = {});
 
 /// Anticipatorily schedules the body of `loop`: §5.2.3 for a single block,
 /// §5.1 (Algorithm Lookahead + wrap-around clone) for multi-block bodies.

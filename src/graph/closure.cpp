@@ -16,16 +16,6 @@ bool ClosureRow::intersects(const DynamicBitset& mask) const {
 
 DescendantClosure::DescendantClosure(const DepGraph& g, const NodeSet& active,
                                      Arena* arena)
-    : DescendantClosure(g, active, nullptr, nullptr, arena) {}
-
-DescendantClosure::DescendantClosure(const DepGraph& g, const NodeSet& active,
-                                     const DescendantClosure& donor,
-                                     const NodeSet& donor_nodes, Arena* arena)
-    : DescendantClosure(g, active, &donor, &donor_nodes, arena) {}
-
-DescendantClosure::DescendantClosure(const DepGraph& g, const NodeSet& active,
-                                     const DescendantClosure* donor,
-                                     const NodeSet* donor_nodes, Arena* arena)
     : domain_(g.num_nodes()),
       matrix_(g.num_nodes(), g.num_nodes(), arena),
       member_(g.num_nodes(), false) {
@@ -35,15 +25,8 @@ DescendantClosure::DescendantClosure(const DepGraph& g, const NodeSet& active,
   for (const NodeId id : *order) member_[id] = true;
 
   // Reverse topological order: successors' closures are complete first.
-  // Donated rows never read other rows, so copying them in this order is
-  // trivially safe; computed rows may read donated ones, which is exactly
-  // the point of the donation.
   for (auto it = order->rbegin(); it != order->rend(); ++it) {
     const NodeId id = *it;
-    if (donor != nullptr && donor_nodes->contains(id)) {
-      matrix_.row_copy_from(id, donor->matrix_, id);
-      continue;
-    }
     for (const auto eidx : g.out_edges(id)) {
       const DepEdge& e = g.edge(eidx);
       if (e.distance != 0 || !active.contains(e.to)) continue;

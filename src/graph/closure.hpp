@@ -91,8 +91,7 @@ class ClosureMatrix {
     }
   }
 
-  // Arena-backed storage is not copied with the matrix; DescendantClosure
-  // (the only owner) copies explicitly when it must.
+  // Move-only: arena-backed storage cannot be copied with the matrix.
   ClosureMatrix(ClosureMatrix&&) noexcept = default;
   ClosureMatrix& operator=(ClosureMatrix&&) noexcept = default;
   ClosureMatrix(const ClosureMatrix&) = delete;
@@ -120,13 +119,6 @@ class ClosureMatrix {
     std::uint64_t* d = row_data(dst);
     const std::uint64_t* s = row_data(src);
     for (std::size_t w = 0; w < words_per_row_; ++w) d[w] |= s[w];
-  }
-
-  /// row dst = donor's row src (the matrices must share `bits`).
-  void row_copy_from(std::size_t dst, const ClosureMatrix& donor,
-                     std::size_t src) {
-    std::memcpy(row_data(dst), donor.row_data(src),
-                words_per_row_ * sizeof(std::uint64_t));
   }
 
   /// True iff row r and `mask` share a set bit.
@@ -167,15 +159,6 @@ class DescendantClosure {
   DescendantClosure(const DepGraph& g, const NodeSet& active,
                     Arena* arena = nullptr);
 
-  /// Same, but the rows of `donor_nodes` (a subset of `active`) are copied
-  /// out of `donor` instead of recomputed.  The caller must guarantee each
-  /// donated node's descendant set within `active` equals its `donor` row —
-  /// in the lookahead prescheduler that holds because no distance-0 edge
-  /// leaves the donated block into the rest of the active set.
-  DescendantClosure(const DepGraph& g, const NodeSet& active,
-                    const DescendantClosure& donor, const NodeSet& donor_nodes,
-                    Arena* arena = nullptr);
-
   /// Row view of the descendants of `id` (excluding `id` itself).  `id`
   /// must be a member of the active set this closure was built from.
   ClosureRow descendants(NodeId id) const;
@@ -186,10 +169,6 @@ class DescendantClosure {
   const ClosureMatrix& matrix() const { return matrix_; }
 
  private:
-  DescendantClosure(const DepGraph& g, const NodeSet& active,
-                    const DescendantClosure* donor, const NodeSet* donor_nodes,
-                    Arena* arena);
-
   std::size_t domain_;
   ClosureMatrix matrix_;
   std::vector<bool> member_;

@@ -23,7 +23,7 @@ struct PresetEntry {
 
 /// The preset registry.  A single function-local static: [stmt.dcl]/4
 /// guarantees exactly-once, race-free initialization even when the first
-/// callers are concurrent pool workers (BlockPrescheduler, aisprof --jobs),
+/// callers are concurrent pool workers (aisd workers, aisprof --jobs),
 /// and after initialization every access is a read of const data — no lock
 /// needed, nothing for TSan or the thread-safety analysis to flag.
 const std::array<PresetEntry, 4>& preset_registry() {

@@ -326,8 +326,6 @@ inline constexpr const char* kCompileProgramUs = "time.compile_program_us";
 /// TelemetrySink hook — support cannot link obs).
 inline constexpr const char* kPoolQueueWaitUs = "time.pool_queue_wait_us";
 inline constexpr const char* kPoolRunUs = "time.pool_run_us";
-/// BlockPrescheduler substrate graft (seeded merge) time per block.
-inline constexpr const char* kGraftUs = "time.graft_us";
 /// simulate_many whole-batch time.
 inline constexpr const char* kSimBatchUs = "time.sim_batch_us";
 /// Schedule-cache latency histograms are labeled series registered by

@@ -14,8 +14,8 @@
 namespace ais::server {
 namespace {
 
-/// aisc's emit(), into a string: `block %s:\n` then `  %s\n` per
-/// instruction.  Plain appends reproduce the printf output byte for byte.
+/// The assembly emitter shared by aisc and aisd: `block <label>:` then one
+/// two-space-indented instruction per line.
 void emit(const std::vector<BasicBlock>& blocks, std::string* out) {
   for (const BasicBlock& bb : blocks) {
     out->append("block ");
@@ -71,9 +71,6 @@ bool decode_compile_options(const Request& request, CompileOptions* options,
     } else if (key == "window") {
       options->window =
           static_cast<int>(request.option_int("window", 0, &ok));
-      if (options->window < 0) ok = false;
-    } else if (key == "jobs") {
-      options->jobs = static_cast<int>(request.option_int("jobs", 1, &ok));
     } else if (key == "rename") {
       ok = parse_bool(value, &options->rename);
     } else if (key == "report") {
@@ -104,6 +101,16 @@ void compile_ir(const std::string& ir_text, const CompileOptions& options,
   *reply = Response{};
   scratch.asm_text.clear();
 
+  std::string parse_error;
+  std::optional<Program> prog = parse_program_or_error(ir_text, &parse_error);
+  if (!prog.has_value()) {
+    reply->message = "bad IR: " + parse_error;
+    return;
+  }
+  if (std::string error = branch_position_error(*prog); !error.empty()) {
+    reply->message = "bad IR: " + error;
+    return;
+  }
   const MachineModel* machine = machine_preset(options.machine);
   if (machine == nullptr) {
     reply->message = "unknown machine '" + options.machine + "'";
@@ -114,15 +121,9 @@ void compile_ir(const std::string& ir_text, const CompileOptions& options,
     reply->message = "unknown mode '" + options.mode + "'";
     return;
   }
-
-  std::string parse_error;
-  std::optional<Program> prog = parse_program_or_error(ir_text, &parse_error);
-  if (!prog.has_value()) {
-    reply->message = "bad IR: " + parse_error;
-    return;
-  }
-  if (std::string error = branch_position_error(*prog); !error.empty()) {
-    reply->message = "bad IR: " + error;
+  if (options.window < 0) {
+    reply->message =
+        "window must be nonnegative, got " + std::to_string(options.window);
     return;
   }
 
@@ -164,8 +165,7 @@ void compile_ir(const std::string& ir_text, const CompileOptions& options,
         attach_verification(verify_schedule(loop, scheduled, *machine), reply);
       }
     } else {
-      const ScheduledTrace scheduled =
-          schedule(trace, *machine, options.window, {}, options.jobs);
+      const ScheduledTrace scheduled = schedule(trace, *machine, options.window);
       emit(scheduled.blocks, &scratch.asm_text);
       if (options.report) {
         const auto before = schedule_trace_per_block(

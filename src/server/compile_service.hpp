@@ -1,14 +1,13 @@
-// The request-to-reply core of aisd: one COMPILE request in, one reply out,
-// byte-identical to what offline `aisc` would print for the same input.
+// The one compile pipeline: a COMPILE request in, one reply out.  aisd runs
+// it per request and `aisc` is a thin shell over a single call, so the
+// daemon's replies and the offline compiler's output are byte-identical by
+// construction.
 //
 // The service is a pure function of (request, scratch) — it owns no locks
 // and no global state beyond what the compile pipeline itself uses (the
 // shared schedule cache, the obs registry) — so the server can run any
 // number of calls concurrently, one per pool worker, each with its own
-// reusable WorkerScratch.  Byte-identity with aisc holds because the exact
-// same pipeline entry points run in the exact same order (cfg mode before
-// renaming, then trace/loop), and the assembly emitter reproduces aisc's
-// `block %s:\n` / `  %s\n` format character for character.
+// reusable WorkerScratch.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +25,8 @@ struct CompileOptions {
   std::string mode = "trace";      // trace | loop | cfg
   std::string machine = "rs6000";  // machine_preset name
   int window = 0;
+  /// cfg mode: compile traces on this many threads (aisc --jobs).  Not a
+  /// COMPILE option: a request's parallelism is the server's pool.
   int jobs = 1;
   bool rename = false;
   bool report = false;   // cycle counts into the reply's status options
@@ -56,9 +57,10 @@ bool decode_compile_options(const Request& request, CompileOptions* options,
 
 /// Compiles `ir_text` per `options` into `reply`.  On success `reply->ok`
 /// with the assembly section and status options filled; on any request
-/// error (bad IR, unknown machine/mode, verification failure is NOT an
-/// error — it lands in diag_text with verified=fail) `reply->ok == false`
-/// and `reply->message` says why.  Never terminates the process.
+/// error (bad IR, unknown machine/mode, negative window; verification
+/// failure is NOT an error — it lands in diag_text with verified=fail)
+/// `reply->ok == false` and `reply->message` says why.  Never terminates
+/// the process.
 void compile_ir(const std::string& ir_text, const CompileOptions& options,
                 WorkerScratch& scratch, Response* reply);
 

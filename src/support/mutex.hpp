@@ -4,7 +4,7 @@
 // cannot be statically analyzed.  These thin wrappers add the annotations
 // (support/thread_annotations.hpp) while keeping std::mutex semantics and
 // cost; the concurrent core (ThreadPool, the schedule-cache shards, the obs
-// registry, the block prescheduler) locks through them so the
+// registry, the aisd server) locks through them so the
 // `-Wthread-safety -Werror=thread-safety-analysis` CI build is a
 // compile-time proof of its lock discipline.
 //

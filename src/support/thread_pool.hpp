@@ -1,6 +1,6 @@
 // A small fixed-size worker pool plus the parallel_for used by the driver
-// and tools layers to compile independent traces concurrently (aisc --jobs,
-// aisprof --jobs).
+// and tools layers to compile independent traces concurrently (aisc --mode
+// cfg --jobs, aisprof --jobs).
 //
 // Scope is deliberately narrow: tasks must not throw (scheduling code
 // reports errors via AIS_CHECK, which aborts), and result hand-off is the

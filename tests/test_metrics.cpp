@@ -324,16 +324,12 @@ TEST(MetricsObs, SchedulesAreByteIdenticalWithMetricsOnOrOff) {
   ScheduleCache::ScopedBypass bypass;
   const Program prog = parse_program(kTwoBlocks);
   const MachineModel& machine = *machine_preset("rs6000");
-  for (const int jobs : {1, 8}) {
-    fresh(/*enabled=*/false);
-    const std::string off =
-        emitted_text(schedule(Trace{prog.blocks}, machine, 0, {}, jobs));
-    fresh(/*enabled=*/true);
-    obs::set_flight_enabled(true);
-    const std::string on =
-        emitted_text(schedule(Trace{prog.blocks}, machine, 0, {}, jobs));
-    EXPECT_EQ(off, on) << "jobs=" << jobs;
-  }
+  fresh(/*enabled=*/false);
+  const std::string off = emitted_text(schedule(Trace{prog.blocks}, machine));
+  fresh(/*enabled=*/true);
+  obs::set_flight_enabled(true);
+  const std::string on = emitted_text(schedule(Trace{prog.blocks}, machine));
+  EXPECT_EQ(off, on);
   fresh(/*enabled=*/false);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -326,6 +327,15 @@ TEST(ScheduleCache, CorruptDiskEntriesDegradeToMisses) {
   // A truncated file is also just a miss.
   rewrite(blob.substr(0, 10));
   miss("truncation");
+
+  // A stale header: an entry written under format version 3, whose key
+  // prefix still carried the 8-byte Merge fill-depth cap, must never be
+  // read.
+  std::string stale = blob;
+  const std::uint32_t v3 = 3;
+  std::memcpy(stale.data() + 4, &v3, sizeof v3);  // just past the magic
+  rewrite(stale);
+  miss("format v3 header");
 
   // And the pristine bytes still hit, so the misses above were the
   // corruption's doing.

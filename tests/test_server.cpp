@@ -343,6 +343,8 @@ TEST_F(ServerTest, MalformedRequestsGetErrorRepliesNotCrashes) {
            Case{"unknown mode", "COMPILE mode=warp\n" + valid_body},
            Case{"negative window", "COMPILE window=-3\n" + valid_body},
            Case{"unparseable window", "COMPILE window=banana\n" + valid_body},
+           Case{"jobs is not a protocol option",
+                "COMPILE mode=cfg jobs=100000\n" + valid_body},
            Case{"empty program", "COMPILE mode=trace\n"},
            Case{"garbage program", "COMPILE mode=trace\nLI LI LI\n"},
            Case{"bad opcode", "COMPILE\nblock a:\n  QUUX r1, r2\n"},

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ir/asm_parser.hpp"
 #include "ir/interp.hpp"
@@ -198,23 +200,66 @@ TEST(Aislint, RejectsStructurallyBrokenProgram) {
   EXPECT_NE(out.find("branch-position"), std::string::npos) << out;
 }
 
-TEST(Aisc, MidBlockBranchExitsNonZeroWithoutAborting) {
-  const char* text = R"(
-    block a:
-      ADD r1, r2, r3
-      B   a
-      ADD r4, r1, r1
-  )";
-  const std::string in = write_temp("midblock_branch.s", text);
-  for (const char* mode : {"trace", "loop", "cfg"}) {
+/// Every input the compile pipeline rejects exits 1 with a message, in
+/// every mode — never a signal, never partial output on stdout.
+TEST(Aisc, BadInputsExitNonZeroWithoutAborting) {
+  struct Case {
+    const char* name;
+    std::string text;
+    const char* flags;
+    const char* message;
+  };
+  const std::string valid = "block a:\n  LI r1, 1\n  ADD r2, r1, r1\n";
+  const std::vector<Case> cases = {
+      {"midblock_branch",
+       "block a:\n  ADD r1, r2, r3\n  B   a\n  ADD r4, r1, r1\n", "",
+       "block a"},
+      {"unknown_opcode", "block a:\n  QUUX r1, r2\n", "",
+       "aisc: bad IR: line 2: unknown opcode: QUUX\n"},
+      {"empty_file", "", "", "aisc: bad IR: empty program\n"},
+      {"negative_window", valid, " --window -3",
+       "aisc: window must be nonnegative, got -3\n"},
+  };
+  for (const Case& c : cases) {
+    const std::string in = write_temp(std::string(c.name) + ".s", c.text);
+    for (const char* mode : {"trace", "loop", "cfg"}) {
+      const std::string tag = std::string(c.name) + " --mode " + mode;
+      std::string out, err;
+      const int status = run_tool_with_stderr(std::string(AISC_BINARY) +
+                                                  " --in " + in + " --mode " +
+                                                  mode + c.flags,
+                                              &out, &err);
+      ASSERT_TRUE(WIFEXITED(status)) << tag << ": killed by a signal\n" << err;
+      EXPECT_EQ(WEXITSTATUS(status), 1) << tag;
+      EXPECT_TRUE(out.empty()) << tag;
+      EXPECT_EQ(err.rfind("aisc: ", 0), 0u) << tag << ": " << err;
+      EXPECT_NE(err.find(c.message), std::string::npos) << tag << ": " << err;
+    }
+  }
+}
+
+/// aisc formats --report from the compile reply's status options; each
+/// mode's line is pinned byte for byte.
+TEST(Aisc, ReportLinePerMode) {
+  struct Case {
+    const char* file;
+    const char* mode;
+    const char* line;
+  };
+  for (const Case& c :
+       {Case{"two_block_trace.s", "trace", "aisc: 15 -> 15 cycles at W = 6\n"},
+        Case{"fig3_loop.s", "loop", "aisc: 6.00 cycles/iteration at W = 6\n"},
+        Case{"diamond_cfg.s", "cfg",
+             "aisc: hot trace 10 -> 10 cycles at W = 6\n"}}) {
     std::string out, err;
-    const int status = run_tool_with_stderr(
-        std::string(AISC_BINARY) + " --in " + in + " --mode " + mode, &out,
-        &err);
-    ASSERT_TRUE(WIFEXITED(status)) << mode << ": killed by a signal\n" << err;
-    EXPECT_EQ(WEXITSTATUS(status), 1) << mode;
-    EXPECT_TRUE(out.empty()) << mode;
-    EXPECT_NE(err.find("block a"), std::string::npos) << mode << ": " << err;
+    ASSERT_EQ(run_tool_with_stderr(std::string(AISC_BINARY) + " --in " +
+                                       AIS_EXAMPLES_DIR + "/" + c.file +
+                                       " --mode " + c.mode + " --report",
+                                   &out, &err),
+              0)
+        << c.file;
+    EXPECT_FALSE(out.empty()) << c.file;
+    EXPECT_EQ(err, c.line) << c.file;
   }
 }
 

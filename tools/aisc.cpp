@@ -12,9 +12,7 @@
 //   --mode MODE      trace (default) | loop | cfg
 //   --machine NAME   scalar01 | rs6000 (default) | deep | vliw4
 //   --window N       lookahead window (0 = machine default)
-//   --jobs N         cfg mode: compile traces on N threads; trace mode:
-//                    pre-schedule block substrates on N pool workers while
-//                    the serial Merge/Chop chain consumes them (0 = all
+//   --jobs N         cfg mode: compile traces on N threads (0 = all
 //                    hardware threads; output identical at every N)
 //   --rename         run local register renaming first
 //   --report         print cycle counts (before/after) to stderr
@@ -35,69 +33,45 @@
 // The AIS_TRACE / AIS_TRACE_JSON environment variables enable the same
 // telemetry without touching the command line; AIS_CACHE / AIS_CACHE_DIR
 // mirror --cache / --cache-dir.
+//
+// The compile itself is one server::compile_ir call — the pipeline aisd
+// serves — so aisc's stdout is byte-identical to an aisd reply's assembly
+// section, and every input compile_ir rejects exits 1 with its message.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "baselines/block_schedulers.hpp"
-#include "cfg/cfg.hpp"
-#include "driver/anticipatory.hpp"
-#include "driver/function_compiler.hpp"
-#include "ir/asm_parser.hpp"
-#include "ir/depbuild.hpp"
-#include "ir/rename.hpp"
 #include "core/schedule_cache.hpp"
-#include "machine/machine_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/process_stats.hpp"
 #include "obs/stats.hpp"
-#include "sim/lookahead_sim.hpp"
-#include "sim/loop_sim.hpp"
+#include "server/compile_service.hpp"
 #include "support/cli.hpp"
 
 namespace {
 
 using namespace ais;
 
-const MachineModel& machine_by_name(const std::string& name) {
-  const MachineModel* m = machine_preset(name);
-  if (m == nullptr) {
-    std::fprintf(stderr, "aisc: unknown machine '%s'\n", name.c_str());
-    std::exit(1);
-  }
-  return *m;
-}
-
-void emit(const std::vector<BasicBlock>& blocks) {
-  for (const BasicBlock& bb : blocks) {
-    std::printf("block %s:\n", bb.label.c_str());
-    for (const Instruction& inst : bb.insts) {
-      std::printf("  %s\n", inst.to_string().c_str());
-    }
-  }
-}
-
-/// Prints oracle findings to stderr; returns the process exit code.
-int report_verification(const verify::Report& report) {
-  if (report.ok()) return 0;
-  std::fprintf(stderr, "aisc: schedule failed verification:\n%s",
-               report.to_string().c_str());
-  return 1;
-}
-
 /// True when `path` names a JSON output (the --metrics-out format switch).
 bool ends_with_json(const std::string& path) {
   return path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
 }
 
-/// Emits the telemetry the run collected, on every exit path: the
-/// `--profile` table to stderr, the `--trace-json` / AIS_TRACE_JSON file
-/// and the `--metrics-out` registry exposition.
+/// Emits the telemetry the run collected, on every exit path past the
+/// compile: the `--profile` table to stderr, the `--trace-json` /
+/// AIS_TRACE_JSON file and the `--metrics-out` registry exposition.
 struct TelemetryFinalizer {
   bool profile = false;
   std::string trace_path;
   std::string metrics_path;
+
+  /// Drops every output: a rejected input compiled nothing to report.
+  void disarm() {
+    profile = false;
+    trace_path.clear();
+    metrics_path.clear();
+  }
 
   ~TelemetryFinalizer() {
     if (!trace_path.empty() && !obs::write_chrome_trace(trace_path)) {
@@ -126,6 +100,26 @@ struct TelemetryFinalizer {
   }
 };
 
+/// The `--report` line, rebuilt from the reply's status options.
+std::string report_line(const std::string& mode,
+                        const server::Response& reply) {
+  std::string line = "aisc: ";
+  if (mode == "loop") {
+    line += reply.option("cycles_per_iter");
+    line += " cycles/iteration";
+  } else {
+    if (mode == "cfg") line += "hot trace ";
+    line += reply.option("cycles_before");
+    line += " -> ";
+    line += reply.option("cycles_after");
+    line += " cycles";
+  }
+  line += " at W = ";
+  line += reply.option("window");
+  line += "\n";
+  return line;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -147,18 +141,14 @@ int main(int argc, char** argv) {
   std::ostringstream text;
   text << in.rdbuf();
 
-  const Program prog = parse_program(text.str());
-  if (const std::string error = branch_position_error(prog); !error.empty()) {
-    std::fprintf(stderr, "aisc: bad IR: %s\n", error.c_str());
-    return 1;
-  }
-  const MachineModel& machine =
-      machine_by_name(args.get_string("machine", "rs6000"));
-  const int window = static_cast<int>(args.get_int("window", 0));
-  const std::string mode = args.get_string("mode", "trace");
-  const bool do_rename = args.get_bool("rename", false);
-  const bool report = args.get_bool("report", false);
-  const bool do_verify = args.get_bool("verify", false);
+  server::CompileOptions options;
+  options.mode = args.get_string("mode", "trace");
+  options.machine = args.get_string("machine", "rs6000");
+  options.window = static_cast<int>(args.get_int("window", 0));
+  options.jobs = static_cast<int>(args.get_int("jobs", 1));
+  options.rename = args.get_bool("rename", false);
+  options.report = args.get_bool("report", false);
+  options.verify = args.get_bool("verify", false);
 
   if (args.has("cache")) {
     ScheduleCache::global().set_enabled(args.get_bool("cache", true));
@@ -176,60 +166,22 @@ int main(int argc, char** argv) {
   if (!telemetry.metrics_path.empty()) obs::set_enabled(true);
   if (obs::enabled()) obs::register_builtin_counters();
 
-  if (mode == "cfg") {
-    const Cfg cfg(prog);
-    const int jobs = static_cast<int>(args.get_int("jobs", 1));
-    const CompiledProgram compiled =
-        compile_program(cfg, machine, window, do_verify, jobs);
-    emit(compiled.program.blocks);
-    if (report) {
-      std::fprintf(stderr,
-                   "aisc: hot trace %lld -> %lld cycles at W = %d\n",
-                   static_cast<long long>(compiled.hot_trace_cycles_before),
-                   static_cast<long long>(compiled.hot_trace_cycles_after),
-                   compiled.window);
-    }
-    return report_verification(compiled.verification);
-  }
-
-  Trace trace{prog.blocks};
-  if (do_rename) trace = rename_trace(trace);
-
-  if (mode == "loop") {
-    Loop loop;
-    loop.body = trace;
-    const ScheduledLoop scheduled = schedule(loop, machine, window);
-    emit(scheduled.blocks);
-    if (report) {
-      std::fprintf(stderr, "aisc: %.2f cycles/iteration at W = %d\n",
-                   scheduled.cycles_per_iteration, scheduled.window);
-    }
-    if (do_verify) {
-      return report_verification(verify_schedule(loop, scheduled, machine));
-    }
-    return 0;
-  }
-
-  if (mode != "trace") {
-    std::fprintf(stderr, "aisc: unknown mode '%s'\n", mode.c_str());
+  server::WorkerScratch scratch;
+  server::Response reply;
+  server::compile_ir(text.str(), options, scratch, &reply);
+  if (!reply.ok) {
+    telemetry.disarm();
+    std::fprintf(stderr, "aisc: %s\n", reply.message.c_str());
     return 1;
   }
-  const ScheduledTrace scheduled =
-      schedule(trace, machine, window, {},
-               static_cast<int>(args.get_int("jobs", 1)));
-  emit(scheduled.blocks);
-  if (report) {
-    const auto before = schedule_trace_per_block(
-        scheduled.graph, machine, BlockScheduler::kSourceOrder);
-    std::fprintf(
-        stderr, "aisc: %lld -> %lld cycles at W = %d\n",
-        static_cast<long long>(simulated_completion(
-            scheduled.graph, machine, before, scheduled.window)),
-        static_cast<long long>(scheduled.simulated_cycles(machine)),
-        scheduled.window);
+  std::fwrite(reply.asm_text.data(), 1, reply.asm_text.size(), stdout);
+  if (options.report) {
+    std::fputs(report_line(options.mode, reply).c_str(), stderr);
   }
-  if (do_verify) {
-    return report_verification(verify_schedule(trace, scheduled, machine));
+  if (reply.option("verified") == "fail") {
+    std::fprintf(stderr, "aisc: schedule failed verification:\n%s",
+                 reply.diag_text.c_str());
+    return 1;
   }
   return 0;
 }

@@ -33,10 +33,6 @@
 //   --blocks/--nodes   random-trace shape (default 8 blocks x 12 nodes)
 //   --edge-prob P      intra-block edge probability (default 0.35)
 //   --max-latency L    maximum edge latency (default 3; 1 = restricted case)
-//   --fill-cap C       also compile every survey trace with the Merge fill
-//                      depth capped at C and report the simulated cycle
-//                      delta vs the advisory order (0 = off; see
-//                      LookaheadOptions::fill_cap and ROADMAP window-span)
 //   --seed S           PRNG seed for the survey (default 42)
 //   --jobs N           compile traces on N threads (0 = all hardware
 //                      threads; results are identical at every N)
@@ -161,35 +157,11 @@ int run_random_survey(const CliArgs& args) {
     lists[i] = res.priority_list();
   });
 
-  // Optional second arm: the same traces compiled with a capped Merge fill
-  // depth (LookaheadOptions::fill_cap), for the ROADMAP `window-span`
-  // comparison of advisory vs W-capped planning orders.
-  const int fill_cap = static_cast<int>(args.get_int("fill-cap", 0));
-  std::vector<std::vector<NodeId>> capped_lists;
-  std::vector<std::size_t> capped_spans;
-  if (fill_cap > 0) {
-    capped_lists.resize(graphs.size());
-    capped_spans.assign(graphs.size(), 0);
-    parallel_for(jobs, graphs.size(), [&](std::size_t i) {
-      const RankScheduler scheduler(graphs[i], machine);
-      LookaheadOptions opts;
-      opts.window = window;
-      opts.fill_cap = fill_cap;
-      const LookaheadResult res = schedule_trace(scheduler, opts);
-      capped_spans[i] = res.diag.max_inversion_span;
-      capped_lists[i] = res.priority_list();
-    });
-  }
-
-  // All executions go through one batched simulate_many: uncapped lists
-  // first, then (when --fill-cap is set) the capped ones.
+  // All executions go through one batched simulate_many.
   std::vector<SimJob> sim_jobs;
-  sim_jobs.reserve(lists.size() + capped_lists.size());
+  sim_jobs.reserve(lists.size());
   for (std::size_t i = 0; i < lists.size(); ++i) {
     sim_jobs.push_back({&graphs[i], &machine, &lists[i], window});
-  }
-  for (std::size_t i = 0; i < capped_lists.size(); ++i) {
-    sim_jobs.push_back({&graphs[i], &machine, &capped_lists[i], window});
   }
   const std::vector<SimResult> sims =
       simulate_many(sim_jobs, clamp_jobs(jobs));
@@ -232,34 +204,6 @@ int run_random_survey(const CliArgs& args) {
                  std::to_string(stall_total)});
   std::printf("window-span survey (counter %s):\n%s",
               obs::ctr::kWindowSpanOverW, t.to_string().c_str());
-
-  if (fill_cap > 0) {
-    int capped_over = 0;
-    int better = 0;
-    int equal = 0;
-    int worse = 0;
-    double log_ratio_sum = 0;
-    for (std::size_t i = 0; i < capped_lists.size(); ++i) {
-      if (capped_spans[i] > static_cast<std::size_t>(window)) ++capped_over;
-      const Time uncapped_cycles = sims[i].completion;
-      const Time capped_cycles = sims[lists.size() + i].completion;
-      if (capped_cycles < uncapped_cycles) ++better;
-      else if (capped_cycles == uncapped_cycles) ++equal;
-      else ++worse;
-      log_ratio_sum += std::log(static_cast<double>(capped_cycles) /
-                                static_cast<double>(uncapped_cycles));
-    }
-    TextTable tc({"metric", "value"});
-    tc.add_row({"fill cap", std::to_string(fill_cap)});
-    tc.add_row({"capped span > W traces", std::to_string(capped_over)});
-    tc.add_row({"capped better / equal / worse",
-                std::to_string(better) + " / " + std::to_string(equal) +
-                    " / " + std::to_string(worse)});
-    tc.add_row({"geomean cycles ratio (capped/uncapped)",
-                fmt_double(n == 0 ? 1.0 : std::exp(log_ratio_sum / n), 4)});
-    std::printf("fill-cap comparison (same traces, fill_cap = %d):\n%s",
-                fill_cap, tc.to_string().c_str());
-  }
   return 0;
 }
 
