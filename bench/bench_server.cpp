@@ -25,14 +25,14 @@
 //   tcp:   a warm burst over the unix listener and the same burst over the
 //          TCP listener; the gate bounds how much the TCP transport may
 //          cost (--min-tcp-ratio, tcp_rps/unix_rps).
-//   qos:   dedicated single-worker servers (dispatch_ahead=1 so admission
-//          ordering binds): an interactive tenant alone (uncontended
-//          baseline), then the same tenant against a saturating bulk
-//          tenant under FIFO admission and under QoS admission.  Bulk and
-//          interactive use the same body pool, so head-of-line blocking is
-//          measured in units of one service time.  Gates: the QoS arm's
-//          interactive p99 within --max-qos-p99-factor of uncontended, and
-//          FIFO at least --min-fifo-qos-ratio worse than QoS.
+//   qos:   dedicated single-worker servers: an interactive tenant alone
+//          (uncontended baseline), then the same tenant against a
+//          saturating bulk tenant under FIFO admission and under QoS
+//          admission.  Bulk and interactive use the same body pool, so
+//          head-of-line blocking is measured in units of one service time.
+//          Gates: the QoS arm's interactive p99 within
+//          --max-qos-p99-factor of uncontended, and FIFO at least
+//          --min-fifo-qos-ratio worse than QoS.
 //   sweep: per (clients, shard count), cache rebuilt + primed, then a
 //          timed burst; reported as requests/second.
 #include <unistd.h>
@@ -186,17 +186,18 @@ std::int64_t percentile(std::vector<std::int64_t>& latencies, double p) {
   return latencies[static_cast<std::size_t>(rank + 0.5)];
 }
 
-/// One arm of the QoS experiment: a dedicated single-worker server with
-/// dispatch_ahead=1 (the admission queue, not the pool FIFO, orders the
-/// waiting work), an interactive tenant issuing `interactive_requests`
-/// closed-loop, and `bulk_clients` bulk-tenant connections each keeping
-/// `bulk_depth` pipelined requests in flight until the interactive tenant
-/// finishes.  Pipelining matters on this single-core container: it keeps
-/// the server-side backlog deep (bulk_clients * bulk_depth queued) with
-/// only a couple of mostly-blocked client threads, so the interactive
-/// client's latency measures the server's queueing discipline rather than
-/// the bench's own thread-scheduling noise.  Client-side latency
-/// percentiles for the interactive tenant come back in the result.
+/// One arm of the QoS experiment: a dedicated single-worker server (its
+/// worker pops the admission queue only when free, so the admission policy
+/// orders all waiting work), an interactive tenant issuing
+/// `interactive_requests` closed-loop, and `bulk_clients` bulk-tenant
+/// connections each keeping `bulk_depth` pipelined requests in flight until
+/// the interactive tenant finishes.  Pipelining matters on a machine with
+/// few cores: it keeps the server-side backlog deep (bulk_clients *
+/// bulk_depth queued) with only a couple of mostly-blocked client threads,
+/// so the interactive client's latency measures the server's queueing
+/// discipline rather than the bench's own thread-scheduling noise.
+/// Client-side latency percentiles for the interactive tenant come back in
+/// the result.
 struct QosArm {
   double interactive_p50_us = 0;
   double interactive_p99_us = 0;
@@ -212,12 +213,6 @@ QosArm run_qos_arm(bool qos, std::size_t interactive_requests,
   options.socket_path = "/tmp/bench_server_qos." + std::to_string(getpid()) +
                         "." + std::to_string(arm_id) + ".sock";
   options.threads = 1;
-  options.dispatch_ahead = 1;
-  // Batch granularity 1: a gathered micro-batch is already out of the
-  // admission queue, so anything in it rides ahead of a later interactive
-  // arrival.  With batch_max=1 the admission queue is the only queueing
-  // discipline and the inversion window is a single service time.
-  options.batch_max = 1;
   options.admission.qos = qos;
   server::Server srv(options);
   std::string error;

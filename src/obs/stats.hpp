@@ -1,61 +1,20 @@
-// Per-compile scheduler statistics and the `--profile` report.
-//
-// ScheduleStats is a snapshot of the built-in instrumentation counters
-// (obs::ctr); capture() before and after a compile and subtract to get the
-// per-compile numbers the paper's algorithms imply: Rank Algorithm runs,
-// Merge relaxation rounds, idle slots moved, deadlines tightened, chop
-// points, window-span > W planning orders, and simulator stall attribution.
+// The `--profile` report over the built-in instrumentation counters
+// (obs::ctr) and phase spans.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 namespace ais::obs {
 
-struct ScheduleStats {
-  std::uint64_t rank_runs = 0;
-  std::uint64_t rank_infeasible = 0;
-  std::uint64_t rank_nodes_ranked = 0;
-  std::uint64_t merge_calls = 0;
-  std::uint64_t merge_relax_rounds = 0;
-  std::uint64_t merge_full_relax_rounds = 0;
-  std::uint64_t idle_move_attempts = 0;
-  std::uint64_t idle_slots_moved = 0;
-  std::uint64_t deadlines_tightened = 0;
-  std::uint64_t chop_calls = 0;
-  std::uint64_t chop_points = 0;
-  std::uint64_t lookahead_blocks = 0;
-  std::uint64_t window_span_over_w = 0;
-  std::uint64_t sim_runs = 0;
-  std::uint64_t sim_cycles = 0;
-  std::uint64_t sim_stall_latency = 0;
-  std::uint64_t sim_stall_window = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_bytes = 0;
-  std::uint64_t cache_disk_hits = 0;
-  std::uint64_t cache_disk_writes = 0;
-
-  /// Snapshot of the current counter registry.
-  static ScheduleStats capture();
-
-  /// Per-compile delta: *this (the "after" snapshot) minus `since`.
-  ScheduleStats delta(const ScheduleStats& since) const;
-
-  /// Two-column name/value table (support/table rendering).
-  std::string to_string() const;
-};
-
 /// The full `aisc --profile` report: a per-phase time table (phase, calls,
 /// total ms, mean ms) followed by every registered counter.  Pipeline
-/// counters that a reader will look for first (the ScheduleStats set) are
-/// pre-registered at zero so the table is complete even for compiles that
-/// never hit a code path.
+/// counters that a reader will look for first are pre-registered at zero
+/// (register_builtin_counters) so the table is complete even for compiles
+/// that never hit a code path.
 std::string profile_report();
 
-/// Registers every ScheduleStats counter at its current value (creating
-/// missing ones at zero); a no-op while telemetry is disabled.
+/// Registers every built-in pipeline counter at its current value
+/// (creating missing ones at zero); a no-op while telemetry is disabled.
 void register_builtin_counters();
 
 }  // namespace ais::obs

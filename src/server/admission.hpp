@@ -82,7 +82,6 @@ struct AdmissionStats {
   std::uint64_t conserved = 0;       // deferred run via work conservation
   std::uint64_t force_admitted = 0;  // deferred run via defer_max_us
   std::uint64_t promoted = 0;        // level promotions via aging
-  std::uint64_t requeued = 0;        // handed back via requeue_front
 };
 
 /// The admission queue.  T is the server's Job (moved in and out); tests
@@ -113,9 +112,8 @@ class AdmissionQueue {
     return false;
   }
 
-  /// Pops the next item per policy; false when empty.  *priority reports
-  /// the level the item was finally served from (after aging).
-  bool pop(std::int64_t now_us, T* out, Priority* priority = nullptr) {
+  /// Pops the next item per policy; false when empty.
+  bool pop(std::int64_t now_us, T* out) {
     if (size_ == 0) return false;
     if (opts_.qos) {
       redeem_deferred(now_us);
@@ -123,7 +121,7 @@ class AdmissionQueue {
     }
     for (int level = 0; level < kPriorityLevels; ++level) {
       if (levels_[level].empty()) continue;
-      take(levels_[level], out, priority);
+      take(levels_[level], out);
       return true;
     }
     // Work conservation: the in-quota levels are dry, so run the oldest
@@ -138,38 +136,12 @@ class AdmissionQueue {
     }
     if (oldest == nullptr) return false;
     ++stats_.conserved;
-    take(oldest->items, out, priority);
+    take(oldest->items, out);
     return true;
-  }
-
-  /// Hands a previously popped item back to the FRONT of `priority`'s
-  /// level — the dispatcher's anti-inversion escape hatch: when it is
-  /// blocked on downstream room while holding lower-priority work and an
-  /// interactive request arrives, it returns the held work here and
-  /// re-pops, so the interactive item goes first and the returned work
-  /// keeps its place ahead of everything queued behind it.  No quota
-  /// token is charged (the item already paid on push).  `enqueue_us` is
-  /// the item's original admission time; using it for the aging clock
-  /// keeps the front-is-oldest invariant age_levels() relies on.
-  void requeue_front(T item, Priority priority, std::int64_t enqueue_us) {
-    Entry entry;
-    entry.item = std::move(item);
-    entry.priority = opts_.qos ? priority : Priority::kNormal;
-    entry.enqueue_us = enqueue_us;
-    entry.level_since_us = enqueue_us;
-    ++size_;
-    ++stats_.requeued;
-    levels_[static_cast<int>(entry.priority)].push_front(std::move(entry));
   }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  /// True when level-0 work is queued — the dispatcher's early-close
-  /// signal for the micro-batch gather window.
-  bool has_interactive() const {
-    return !levels_[static_cast<int>(Priority::kInteractive)].empty();
-  }
 
   const AdmissionStats& stats() const { return stats_; }
   const AdmissionOptions& options() const { return opts_; }
@@ -191,10 +163,8 @@ class AdmissionQueue {
     std::deque<Entry> items;
   };
 
-  void take(std::deque<Entry>& from, T* out, Priority* priority) {
-    Entry& front = from.front();
-    *out = std::move(front.item);
-    if (priority != nullptr) *priority = front.priority;
+  void take(std::deque<Entry>& from, T* out) {
+    *out = std::move(from.front().item);
     from.pop_front();
     --size_;
   }

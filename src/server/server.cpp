@@ -118,9 +118,9 @@ struct Conn {
   Mutex write_mu;  // frames must hit the stream atomically
 };
 
-/// The per-worker reusable state (satellite: scratch pooling).  Pool
-/// workers are dedicated threads, so thread_local gives exactly one scratch
-/// per worker, reused across every request it serves.
+/// The per-worker reusable state.  Server workers are dedicated threads, so
+/// thread_local gives exactly one scratch per worker, reused across every
+/// request it serves.
 WorkerScratch& worker_scratch() {
   thread_local WorkerScratch scratch;
   return scratch;
@@ -170,7 +170,6 @@ struct Server::Impl {
     request_us_ok = reg.histogram("server_request_us", {"outcome", "ok"});
     request_us_error =
         reg.histogram("server_request_us", {"outcome", "error"});
-    batch_size = reg.histogram("server_batch_size");
     queue_depth = reg.gauge("server_queue_depth");
     connections = reg.gauge("server_connections");
   }
@@ -182,27 +181,13 @@ struct Server::Impl {
 
   std::atomic<bool> stop_accept{false};
   std::thread accept_thread;
-  std::thread dispatch_thread;
-  std::unique_ptr<ThreadPool> pool;
-  std::size_t dispatch_ahead_cap = 0;  // resolved in start()
+  std::vector<std::thread> workers;
 
   Mutex mu;
-  CondVar queue_cv;         // dispatcher wake: work or stopping
+  CondVar queue_cv;         // worker wake: work or stopping
   CondVar queue_not_full;   // reader back-pressure release
-  CondVar pool_room;        // dispatcher flow control: a job completed (or
-                            // an interactive request arrived — see enqueue)
-  CondVar drained_cv;       // stop(): in_flight reached zero
   CondVar wait_cv;          // wait(): SHUTDOWN verb arrived
   AdmissionQueue<Job> queue AIS_GUARDED_BY(mu);
-  std::size_t in_flight AIS_GUARDED_BY(mu) = 0;  // enqueued, reply not sent
-  /// Jobs submitted to the pool and not yet COMPLETED (in the pool FIFO or
-  /// running).  Capped at dispatch_ahead_cap so the pool's FIFO stays
-  /// shallow and the admission queue keeps ordering authority over nearly
-  /// all waiting work; the auto cap of 2x pool size leaves one queued job
-  /// per worker, so workers never idle between hand-offs.  Counting until
-  /// completion (not start) is what makes `--dispatch-ahead 1` strict:
-  /// exactly one request past admission at a time.
-  std::size_t pool_backlog AIS_GUARDED_BY(mu) = 0;
   bool stopping AIS_GUARDED_BY(mu) = false;
   bool shutdown_requested AIS_GUARDED_BY(mu) = false;
   std::vector<std::shared_ptr<Conn>> conns AIS_GUARDED_BY(mu);
@@ -210,13 +195,15 @@ struct Server::Impl {
   std::vector<std::string> tenant_labels AIS_GUARDED_BY(mu);
   AdmissionStats folded AIS_GUARDED_BY(mu);  // already in the registry
 
-  std::mutex lifecycle_mu;  // start/stop idempotence; never nested in mu
+  /// Serializes start() and all of stop(): a second, concurrent stop()
+  /// (aisd's signal watcher racing wait()) returns only once the drain is
+  /// done.  Never nested in mu.
+  std::mutex lifecycle_mu;
   bool started = false;
   bool stopped = false;
 
   obs::Histogram* request_us_ok = nullptr;
   obs::Histogram* request_us_error = nullptr;
-  obs::Histogram* batch_size = nullptr;
   obs::Gauge* queue_depth = nullptr;
   obs::Gauge* connections = nullptr;
 
@@ -256,7 +243,6 @@ struct Server::Impl {
     fold("conserved", s.conserved, folded.conserved);
     fold("force_admitted", s.force_admitted, folded.force_admitted);
     fold("promoted", s.promoted, folded.promoted);
-    fold("requeued", s.requeued, folded.requeued);
   }
 
   void accept_loop() {
@@ -460,98 +446,27 @@ struct Server::Impl {
           .counter("server_quota_deferred_total", {"tenant", label})
           ->add(1);
     }
-    ++in_flight;
     queue_depth->set(static_cast<std::int64_t>(queue.size()));
     queue_cv.notify_one();
-    // An interactive arrival must also wake a dispatcher blocked on pool
-    // room so it can requeue held lower-priority work (see dispatch_loop).
-    if (priority == Priority::kInteractive) pool_room.notify_one();
     return true;
   }
 
-  struct Batched {
-    Job job;
-    Priority served = Priority::kNormal;  // level actually served from
-  };
-
-  void dispatch_loop() AIS_EXCLUDES(mu) {
-    std::vector<Batched> batch;
+  /// A worker takes a request out of admission only when it is free to
+  /// run it, so the admission queue orders every waiting request.  Once
+  /// stopping, workers keep popping until the queue is empty (deferred
+  /// work included, via work conservation): that is the drain.
+  void worker_loop() AIS_EXCLUDES(mu) {
     for (;;) {
-      batch.clear();
+      Job job;
       {
         MutexLock lock(mu);
         while (queue.empty() && !stopping) queue_cv.wait(mu);
-        if (queue.empty() && stopping) return;
-        // Micro-batch: gather until batch_max or until the first request
-        // has waited batch_window_us — but close the window immediately
-        // once the batch holds an interactive request (its wait budget is
-        // the whole point of the priority).  While stopping, flush.
-        const std::int64_t deadline = now_us() + opts.batch_window_us;
-        bool interactive = false;
-        for (;;) {
-          Job job;
-          Priority served = Priority::kNormal;
-          while (batch.size() < opts.batch_max &&
-                 queue.pop(now_us(), &job, &served)) {
-            if (served == Priority::kInteractive) interactive = true;
-            batch.push_back(Batched{std::move(job), served});
-          }
-          if (batch.size() >= opts.batch_max || interactive || stopping) {
-            break;
-          }
-          const std::int64_t remaining = deadline - now_us();
-          if (remaining <= 0) break;
-          if (!queue_cv.wait_for(mu,
-                                 std::chrono::microseconds(remaining))) {
-            // Timed out: take anything that raced in, then flush.
-            while (batch.size() < opts.batch_max &&
-                   queue.pop(now_us(), &job, &served)) {
-              batch.push_back(Batched{std::move(job), served});
-            }
-            break;
-          }
-        }
+        if (!queue.pop(now_us(), &job)) return;  // stopping and drained
         queue_depth->set(static_cast<std::int64_t>(queue.size()));
-        queue_not_full.notify_all();
+        queue_not_full.notify_one();
         fold_admission_stats();
       }
-      batch_size->record(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        // Flow control: the pool's internal FIFO cannot reorder, so every
-        // job handed over early is beyond the admission policy's reach.
-        // Cap the handover backlog and let waiting work keep aging,
-        // promoting and redeeming in the admission queue instead.
-        bool requeued = false;
-        {
-          MutexLock lock(mu);
-          while (pool_backlog >= dispatch_ahead_cap && !stopping) {
-            // Anti-inversion: blocked on pool room while holding
-            // non-interactive work and an interactive request just
-            // arrived — hand the undispatched remainder back to the
-            // front of its levels (reverse order preserves FIFO) and
-            // re-gather, so the interactive request goes next instead
-            // of waiting behind work that left admission early.
-            if (batch[i].served != Priority::kInteractive &&
-                queue.has_interactive()) {
-              for (std::size_t j = batch.size(); j-- > i;) {
-                const std::int64_t admitted = batch[j].job.enqueue_us;
-                queue.requeue_front(std::move(batch[j].job),
-                                    batch[j].served, admitted);
-              }
-              queue_depth->set(static_cast<std::int64_t>(queue.size()));
-              fold_admission_stats();
-              requeued = true;
-              break;
-            }
-            pool_room.wait(mu);
-          }
-          if (!requeued) ++pool_backlog;
-        }
-        if (requeued) break;
-        pool->submit([this, job = std::move(batch[i].job)]() mutable {
-          process(std::move(job));
-        });
-      }
+      process(std::move(job));
     }
   }
 
@@ -595,8 +510,7 @@ struct Server::Impl {
     }
     // Scatter-gather reply: status head and counter trailer build in the
     // worker's reused scratch buffers, the assembly/diagnostic sections go
-    // out of their owning strings — one frame, zero join copies, written
-    // off the dispatcher's thread.
+    // out of their owning strings — one frame, zero join copies.
     scratch.head.clear();
     scratch.tail.clear();
     reply.encode_head(&scratch.head);
@@ -612,11 +526,6 @@ struct Server::Impl {
     obs::record_arena_high_water(
         "server_worker",
         static_cast<std::int64_t>(scratch.bytes_reserved()));
-
-    MutexLock lock(mu);
-    --pool_backlog;  // completion, not start: the cap counts unfinished work
-    pool_room.notify_one();
-    if (--in_flight == 0) drained_cv.notify_all();
   }
 };
 
@@ -757,11 +666,9 @@ bool Server::start(std::string* error) {
   obs::set_enabled(true);
   obs::register_builtin_counters();
 
-  impl_->pool = std::make_unique<ThreadPool>(clamp_jobs(impl_->opts.threads));
-  impl_->dispatch_ahead_cap = impl_->opts.dispatch_ahead > 0
-                                  ? impl_->opts.dispatch_ahead
-                                  : 2 * impl_->pool->size();
-  impl_->dispatch_thread = std::thread([this] { impl_->dispatch_loop(); });
+  for (int i = clamp_jobs(impl_->opts.threads); i > 0; --i) {
+    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
+  }
   impl_->accept_thread = std::thread([this] { impl_->accept_loop(); });
   return true;
 }
@@ -777,11 +684,9 @@ void Server::wait() {
 }
 
 void Server::stop() {
-  {
-    std::lock_guard<std::mutex> guard(impl_->lifecycle_mu);
-    if (!impl_->started || impl_->stopped) return;
-    impl_->stopped = true;
-  }
+  std::lock_guard<std::mutex> guard(impl_->lifecycle_mu);
+  if (!impl_->started || impl_->stopped) return;
+  impl_->stopped = true;
 
   // 1. No new connections.
   impl_->stop_accept.store(true, std::memory_order_relaxed);
@@ -794,23 +699,15 @@ void Server::stop() {
     impl_->stopping = true;
     impl_->queue_cv.notify_all();
     impl_->queue_not_full.notify_all();
-    impl_->pool_room.notify_all();
     impl_->wait_cv.notify_all();
     for (const auto& conn : impl_->conns) ::shutdown(conn->fd, SHUT_RD);
   }
 
-  // 3. Drain: every admitted request — including deferred over-quota work,
-  //    which the dispatcher's stopping flush pulls via work conservation —
-  //    gets its reply.
-  {
-    MutexLock lock(impl_->mu);
-    while (impl_->in_flight > 0) impl_->drained_cv.wait(impl_->mu);
-  }
-  if (impl_->dispatch_thread.joinable()) impl_->dispatch_thread.join();
-  if (impl_->pool) {
-    impl_->pool->wait_idle();
-    impl_->pool.reset();
-  }
+  // 3. Drain: workers exit only once the queue is empty, so every
+  //    admitted request — deferred over-quota work included — gets its
+  //    reply before the join returns.
+  for (std::thread& t : impl_->workers) t.join();
+  impl_->workers.clear();
 
   // 4. Join readers and release connections.
   std::vector<std::thread> readers;

@@ -1,7 +1,6 @@
 // aisd's daemon core: unix-domain and/or TCP stream listeners accepting
 // framed compile requests from many concurrent clients, admitted through a
-// QoS-aware bounded queue with a micro-batching window onto one shared
-// ThreadPool.
+// QoS-aware bounded queue that a fixed set of worker threads pull from.
 //
 // Threading model
 // ---------------
@@ -13,15 +12,10 @@
 //    disconnected, an idle connection between frames is left alone;
 //    control verbs — PING, METRICS/STATS, SHUTDOWN — are answered inline;
 //    COMPILE is enqueued),
-//  * one dispatcher thread draining the admission queue in micro-batches
-//    (up to batch_max requests or batch_window_us, whichever first; a
-//    batch closes early the moment it holds an interactive-priority
-//    request) onto the pool, never letting more than dispatch_ahead
-//    unfinished jobs past admission — the pool's own FIFO cannot reorder,
-//    so keeping its backlog shallow is what makes admission priority
-//    bind; held work is given back (front-of-level) when an interactive
-//    request arrives behind it,
-//  * pool workers compiling and writing replies (per-connection write
+//  * `threads` worker threads, each popping the admission queue only when
+//    it is free to run the request, so no request leaves admission before
+//    a worker can serve it and the admission policy orders all waiting
+//    work; the worker compiles and writes the reply (per-connection write
 //    mutex keeps frames atomic; replies may interleave across requests,
 //    matched by the id= echo).  Replies are never joined into one buffer:
 //    the worker writev()s the frame prefix, status head, assembly,
@@ -39,7 +33,8 @@
 // Graceful shutdown (`stop()`, or the SHUTDOWN verb via `wait()`): stop
 // accepting, shut down connection read sides, drain every admitted request
 // including deferred over-quota work (replies are still written), then
-// join all threads and flush the cache's disk tier.
+// join all threads and flush the cache's disk tier.  A stop() that races
+// another returns only after that one has finished.
 #pragma once
 
 #include <cstdint>
@@ -57,22 +52,11 @@ struct ServerOptions {
   /// Server::tcp_port()); empty = no TCP listener.  At least one of
   /// socket_path / tcp_addr must be set.
   std::string tcp_addr;
-  /// Pool workers compiling requests; <= 0 = one per hardware thread.
+  /// Worker threads compiling requests; <= 0 = one per hardware thread.
   int threads = 0;
   /// Bounded admission queue (levels + deferred): readers block
   /// (back-pressure) when full.
   std::size_t queue_cap = 1024;
-  /// Micro-batch: the dispatcher forwards once it holds batch_max requests
-  /// or the oldest has waited batch_window_us, whichever comes first; an
-  /// interactive-priority arrival closes the batch immediately.
-  std::size_t batch_max = 32;
-  std::int64_t batch_window_us = 200;
-  /// Max jobs submitted to the pool but not yet picked up by a worker;
-  /// 0 = auto (2x pool size).  Small values keep ordering authority in
-  /// the admission queue (tail latency), large ones approach PR 9's
-  /// unbounded hand-off (throughput is unaffected either way: workers
-  /// always have the next batch waiting).
-  std::size_t dispatch_ahead = 0;
   /// A peer stalled mid-frame longer than this is disconnected; idle
   /// connections between frames are unaffected.  <= 0 disables.
   std::int64_t read_deadline_ms = 30'000;
@@ -99,8 +83,9 @@ class Server {
   void wait();
 
   /// Graceful stop, idempotent: drains admitted requests, joins every
-  /// thread, flushes the cache disk tier.  Must not be called from a
-  /// server-owned thread (use the SHUTDOWN verb there).
+  /// thread, flushes the cache disk tier.  A call made while another
+  /// stop() is running blocks until that one finishes.  Must not be called
+  /// from a server-owned thread (use the SHUTDOWN verb there).
   void stop();
 
   const ServerOptions& options() const;

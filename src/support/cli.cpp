@@ -1,8 +1,8 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
-#include "support/assert.hpp"
 #include "support/str.hpp"
 
 namespace ais {
@@ -10,7 +10,10 @@ namespace ais {
 CliArgs::CliArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    AIS_CHECK(starts_with(arg, "--"), "unexpected positional argument: " + arg);
+    if (!starts_with(arg, "--")) {
+      if (!positional_) positional_ = arg;
+      continue;
+    }
     arg = arg.substr(2);
     const std::size_t eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -50,6 +53,20 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
 
 bool CliArgs::has(const std::string& name) const {
   return values_.count(name) != 0;
+}
+
+std::string CliArgs::check(
+    std::initializer_list<std::string_view> known) const {
+  if (positional_) {
+    return "unexpected argument '" + *positional_ +
+           "' (flags are --name value)";
+  }
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return "unknown flag --" + name;
+    }
+  }
+  return "";
 }
 
 }  // namespace ais

@@ -1,12 +1,17 @@
 // Tiny command-line flag parser for bench binaries and examples.
 //
-// Supports `--name value` and `--name=value`; unknown flags are a hard error
-// so typos in experiment scripts do not silently fall back to defaults.
+// Supports `--name value` and `--name=value`.  A tool that validates its
+// command line calls check() with its own flag list, so a typo or a stray
+// positional argument is an error instead of a silent fall-back to the
+// defaults.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace ais {
 
@@ -21,8 +26,13 @@ class CliArgs {
   bool get_bool(const std::string& name, bool fallback) const;
   bool has(const std::string& name) const;
 
+  /// Empty when every argument is a flag named in `known`; otherwise a
+  /// message naming the first positional argument or unknown flag.
+  std::string check(std::initializer_list<std::string_view> known) const;
+
  private:
   std::map<std::string, std::string> values_;
+  std::optional<std::string> positional_;  // first arg not starting "--"
 };
 
 }  // namespace ais

@@ -64,8 +64,8 @@ class CondVar {
 
   void wait(Mutex& mu) AIS_REQUIRES(mu) { cv_.wait(mu); }
   /// wait() with a timeout; returns false when the wait timed out.  Used by
-  /// the deadline loops (micro-batch gather window, disk-write flusher),
-  /// which re-check their predicate under `mu` either way.
+  /// the disk-write flusher's deadline loop, which re-checks its predicate
+  /// under `mu` either way.
   bool wait_for(Mutex& mu, std::chrono::microseconds timeout)
       AIS_REQUIRES(mu) {
     return cv_.wait_for(mu, timeout) == std::cv_status::no_timeout;

@@ -1,7 +1,7 @@
 // Tests for the telemetry subsystem (src/obs): runtime gating, counter
 // monotonicity and thread safety, span aggregation and trace-event nesting,
-// Chrome-trace JSON well-formedness, ScheduleStats deltas, and the
-// simulator's stall attribution invariants.
+// Chrome-trace JSON well-formedness, the built-in counter set of the
+// profile report, and the simulator's stall attribution invariants.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -320,19 +320,7 @@ TEST(Obs, ChromeTraceWithNoEventsIsStillValid) {
   EXPECT_TRUE(JsonChecker(os.str()).valid()) << os.str();
 }
 
-// --- ScheduleStats ------------------------------------------------------
-
-TEST(Obs, ScheduleStatsDeltaIsolatesOneInterval) {
-  fresh(/*enabled=*/true);
-  obs::count(obs::ctr::kRankRuns, 2);
-  const obs::ScheduleStats before = obs::ScheduleStats::capture();
-  obs::count(obs::ctr::kRankRuns, 3);
-  obs::count(obs::ctr::kMergeRelaxRounds, 7);
-  const obs::ScheduleStats d = obs::ScheduleStats::capture().delta(before);
-  EXPECT_EQ(d.rank_runs, 3u);
-  EXPECT_EQ(d.merge_relax_rounds, 7u);
-  EXPECT_EQ(d.chop_points, 0u);
-}
+// --- profile report -----------------------------------------------------
 
 TEST(Obs, RegisterBuiltinCountersMakesProfileComplete) {
   fresh(/*enabled=*/true);

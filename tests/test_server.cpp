@@ -3,7 +3,8 @@
 // diagnostics and non-cache counter streams) over both transports and
 // every priority mix, malformed and oversized frames turn into error
 // replies instead of crashes, the QoS admission queue defers over-quota
-// work without dropping it and ages bulk work out of starvation, read
+// work without dropping it and ages bulk work out of starvation, a live
+// single-worker server serves interactive work ahead of a bulk backlog, read
 // deadlines cut stalled peers but spare idle connections, graceful
 // shutdown drains every admitted request, and the warm cache is shared
 // across tenant connections.
@@ -15,6 +16,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <cstdint>
 #include <fstream>
@@ -652,29 +654,6 @@ TEST(AdmissionQueue, AgingPromotesBulkPastFreshInteractive) {
   EXPECT_EQ(out, 3);
 }
 
-TEST(AdmissionQueue, RequeueFrontKeepsPlaceAndChargesNoToken) {
-  server::AdmissionOptions opts;
-  opts.quotas.push_back({"limited", 1.0});  // burst 1: one token at t0
-  server::AdmissionQueue<int> q{opts};
-  std::int64_t t = 0;
-  q.push(1, server::Priority::kBulk, "limited", t);  // takes the token
-  q.push(2, server::Priority::kBulk, "free", t);
-  int out = 0;
-  server::Priority served = server::Priority::kNormal;
-  ASSERT_TRUE(q.pop(t, &out, &served));
-  EXPECT_EQ(out, 1);
-  // The dispatcher hands 1 back (interactive work arrived downstream):
-  // it re-enters at the FRONT of its level — ahead of 2 — and pays no
-  // second quota token (its bucket is empty; a push would defer).
-  q.requeue_front(out, served, t);
-  EXPECT_EQ(q.stats().requeued, 1u);
-  q.push(3, server::Priority::kInteractive, "free", t);
-  std::vector<int> order;
-  while (q.pop(t, &out)) order.push_back(out);
-  EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
-  EXPECT_EQ(q.stats().deferred, 0u);
-}
-
 TEST(AdmissionQueue, ParsersValidateWireValues) {
   server::Priority p;
   EXPECT_TRUE(server::parse_priority("interactive", &p));
@@ -774,6 +753,72 @@ TEST_F(ServerTest, OverQuotaRequestsDeferredNotDropped) {
   for (std::size_t i = 0; i < burst; ++i) {
     EXPECT_TRUE(seen[i]) << "reply for request " << i << " missing";
   }
+}
+
+/// With one worker, an interactive request admitted behind a backlog of
+/// bulk work is served next: the worker takes a request out of admission
+/// only when it is free to run it, so no queued bulk request can ride
+/// ahead of a later interactive one.
+TEST_F(ServerTest, InteractiveRequestOvertakesQueuedBulkWork) {
+  StartServer("overtake",
+              [](server::ServerOptions& options) { options.threads = 1; });
+  ScheduleCache::global().set_enabled(true);
+  ScheduleCache::global().clear();  // distinct bodies: every compile misses
+  const std::vector<std::string> bodies = make_bodies(17, 4, 16, 53);
+  const std::size_t bulk_count = bodies.size() - 1;
+
+  std::string error;
+  server::Client bulk;
+  ASSERT_TRUE(bulk.connect(socket_path_, &error)) << error;
+  for (std::size_t i = 0; i < bulk_count; ++i) {
+    server::Request req = compile_request(bodies[i]);
+    req.options["priority"] = "bulk";
+    req.options["id"] = std::to_string(i);
+    ASSERT_TRUE(bulk.send(req, &error)) << error;
+  }
+  // The reader answers PING inline after admitting every frame before it,
+  // so its reply proves the whole bulk backlog is queued.
+  server::Request ping;
+  ping.verb = server::kVerbPing;
+  ASSERT_TRUE(bulk.send(ping, &error)) << error;
+
+  std::atomic<bool> backlog_queued{false};
+  std::atomic<std::size_t> bulk_replies{0};
+  std::thread receiver([&] {
+    std::string receive_error;
+    for (std::size_t i = 0; i < bulk_count + 1; ++i) {
+      server::Response resp;
+      if (!bulk.receive(&resp, &receive_error)) {
+        ADD_FAILURE() << receive_error;
+        backlog_queued.store(true);
+        return;
+      }
+      EXPECT_TRUE(resp.ok) << resp.message;
+      if (resp.option("id").empty()) {
+        backlog_queued.store(true);
+      } else {
+        bulk_replies.fetch_add(1);
+      }
+    }
+  });
+  while (!backlog_queued.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  server::Client interactive;
+  ASSERT_TRUE(interactive.connect(socket_path_, &error)) << error;
+  server::Request req = compile_request(bodies.back());
+  req.options["priority"] = "interactive";
+  server::Response resp;
+  const bool answered = interactive.call(req, &resp, &error);
+  const std::size_t bulk_before = bulk_replies.load();
+  receiver.join();
+  ASSERT_TRUE(answered) << error;
+  EXPECT_TRUE(resp.ok) << resp.message;
+  EXPECT_LE(bulk_before, bulk_count / 2)
+      << "the interactive reply waited behind " << bulk_before << " of "
+      << bulk_count << " queued bulk requests";
+  EXPECT_EQ(bulk_replies.load(), bulk_count);
 }
 
 // --- TCP transport robustness ---------------------------------------------

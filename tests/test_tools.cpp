@@ -1,22 +1,36 @@
-// End-to-end tests of the aisc and aislint command-line drivers: invoke the
-// real binaries on real assembly files and check their output parses,
-// preserves semantics, and reproduces the paper's Figure 3 transformation.
+// End-to-end tests of the aisc, aisd and aislint command-line drivers:
+// invoke the real binaries on real assembly files and check their output
+// parses, preserves semantics, and reproduces the paper's Figure 3
+// transformation; aisd rejects bad flags and shuts down cleanly on SIGTERM.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "ir/asm_parser.hpp"
+#include "ir/instruction.hpp"
 #include "ir/interp.hpp"
 #include "obs/obs.hpp"
+#include "server/client.hpp"
+#include "server/protocol.hpp"
+#include "support/prng.hpp"
+#include "workloads/random_ir.hpp"
 
 #ifndef AISC_BINARY
 #error "AISC_BINARY must point at the aisc executable"
+#endif
+#ifndef AISD_BINARY
+#error "AISD_BINARY must point at the aisd executable"
 #endif
 #ifndef AISLINT_BINARY
 #error "AISLINT_BINARY must point at the aislint executable"
@@ -200,14 +214,16 @@ TEST(Aislint, RejectsStructurallyBrokenProgram) {
   EXPECT_NE(out.find("branch-position"), std::string::npos) << out;
 }
 
-/// Every input the compile pipeline rejects exits 1 with a message, in
-/// every mode — never a signal, never partial output on stdout.
+/// Every input the compile pipeline rejects, and every argument outside
+/// aisc's flag list, exits 1 with a message, in every mode — never a
+/// signal, never partial output on stdout.
 TEST(Aisc, BadInputsExitNonZeroWithoutAborting) {
   struct Case {
     const char* name;
     std::string text;
     const char* flags;
     const char* message;
+    const char* in_flag = " --in ";
   };
   const std::string valid = "block a:\n  LI r1, 1\n  ADD r2, r1, r1\n";
   const std::vector<Case> cases = {
@@ -219,6 +235,8 @@ TEST(Aisc, BadInputsExitNonZeroWithoutAborting) {
       {"empty_file", "", "", "aisc: bad IR: empty program\n"},
       {"negative_window", valid, " --window -3",
        "aisc: window must be nonnegative, got -3\n"},
+      {"positional_input", valid, "", "aisc: unexpected argument '", " "},
+      {"unknown_flag", valid, " --windw 3", "aisc: unknown flag --windw\n"},
   };
   for (const Case& c : cases) {
     const std::string in = write_temp(std::string(c.name) + ".s", c.text);
@@ -226,7 +244,7 @@ TEST(Aisc, BadInputsExitNonZeroWithoutAborting) {
       const std::string tag = std::string(c.name) + " --mode " + mode;
       std::string out, err;
       const int status = run_tool_with_stderr(std::string(AISC_BINARY) +
-                                                  " --in " + in + " --mode " +
+                                                  c.in_flag + in + " --mode " +
                                                   mode + c.flags,
                                               &out, &err);
       ASSERT_TRUE(WIFEXITED(status)) << tag << ": killed by a signal\n" << err;
@@ -426,7 +444,7 @@ TEST(Aisprof, FileReportCoversPhasesStatsAndStalls) {
   ASSERT_EQ(run_tool(std::string(AISPROF_BINARY) + " --in " + example, &out),
             0);
   for (const char* section :
-       {"compile:", "cycles:", "schedule stats", "stall attribution",
+       {"compile:", "cycles:", "stall attribution",
         "window occupancy histogram"}) {
     EXPECT_NE(out.find(section), std::string::npos)
         << "missing '" << section << "' in:\n" << out;
@@ -464,6 +482,109 @@ TEST(Aislint, RejectsCorruptedCompilation) {
   std::string out;
   EXPECT_NE(run_tool(cmd, &out), 0);
   EXPECT_NE(out.find("dep-order"), std::string::npos) << out;
+}
+
+/// A flag outside aisd's list — here one of the deleted micro-batch knobs —
+/// is a usage error before anything binds: a script that still passes it
+/// learns so instead of silently getting different behaviour.
+TEST(Aisd, UnknownFlagExitsNonZeroWithoutListening) {
+  const std::string socket = ::testing::TempDir() + "/aisd_badflag_" +
+                             std::to_string(::getpid()) + ".sock";
+  std::string err;
+  const int status = run_tool_with_stderr(std::string(AISD_BINARY) +
+                                              " --socket " + socket +
+                                              " --batch-window-us 200",
+                                          nullptr, &err);
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal\n" << err;
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_NE(err.find("--batch-window-us"), std::string::npos) << err;
+  EXPECT_NE(::access(socket.c_str(), F_OK), 0) << "aisd bound " << socket;
+}
+
+/// SIGTERM runs the same graceful stop as the SHUTDOWN verb: every admitted
+/// request is answered, then aisd writes --metrics-out and exits 0.  aisd's
+/// signal watcher and main's wait() both call stop(); with cold compiles
+/// still queued, main must not write the metrics or destroy the server
+/// until the watcher's drain has finished.
+TEST(Aisd, SigtermDrainsAdmittedWorkAndWritesMetrics) {
+  const std::string dir = ::testing::TempDir();
+  const std::string tag = std::to_string(::getpid());
+  const std::string socket = dir + "/aisd_sigterm_" + tag + ".sock";
+  const std::string metrics = dir + "/aisd_sigterm_" + tag + ".prom";
+  const std::string err_path = dir + "/aisd_sigterm_" + tag + ".err";
+  // A socket left by an earlier run would accept the connect below before
+  // this aisd has blocked SIGTERM.
+  std::remove(socket.c_str());
+  std::remove(metrics.c_str());
+
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, err_path.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const char* argv[] = {AISD_BINARY, "--socket",      socket.c_str(),
+                        "--threads", "2",             "--cache",
+                        "false",     "--metrics-out", metrics.c_str(),
+                        nullptr};
+  pid_t pid = 0;
+  const int spawned =
+      posix_spawn(&pid, AISD_BINARY, &actions, nullptr,
+                  const_cast<char* const*>(argv), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  ASSERT_EQ(spawned, 0) << std::strerror(spawned);
+
+  // The connect retries until aisd listens, which is after it blocked
+  // SIGTERM.  Then a backlog of cold compiles (cache off) and a PING: the
+  // reader answers PING after admitting every frame before it, so once its
+  // reply is in, SIGTERM lands with the whole backlog admitted.
+  server::Client client;
+  client.set_connect_retry_ms(10'000);
+  std::string error;
+  Prng prng(7);
+  RandomIrParams params;
+  params.num_insts = 16;
+  server::Request compile;
+  compile.verb = server::kVerbCompile;
+  for (const BasicBlock& bb : random_ir_trace(prng, params, 12).blocks) {
+    compile.body += "block " + bb.label + ":\n";
+    for (const Instruction& inst : bb.insts) {
+      compile.body += "  " + inst.to_string() + "\n";
+    }
+  }
+  constexpr int kCompiles = 48;
+  bool sent = client.connect(socket, &error);
+  for (int i = 0; sent && i < kCompiles; ++i) {
+    compile.options["id"] = std::to_string(i);
+    sent = client.send(compile, &error);
+  }
+  server::Request ping;
+  ping.verb = server::kVerbPing;
+  sent = sent && client.send(ping, &error);
+  int answered = 0;
+  bool pinged = false;
+  server::Response resp;
+  while (sent && !pinged && client.receive(&resp, &error)) {
+    pinged = resp.option("id").empty();
+    if (!pinged && resp.ok) ++answered;
+  }
+
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(pinged) << error;
+  while (client.receive(&resp, &error)) {
+    if (resp.ok) ++answered;
+  }
+
+  const std::string err = slurp(err_path);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "killed by signal " << WTERMSIG(status) << "\n" << err;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << err;
+  EXPECT_NE(err.find("aisd: clean shutdown"), std::string::npos) << err;
+  EXPECT_EQ(answered, kCompiles) << "admitted compiles left unanswered";
+  const std::string exposition = slurp(metrics);
+  EXPECT_NE(exposition.find("# TYPE server_request_us histogram"),
+            std::string::npos)
+      << exposition;
 }
 
 }  // namespace

@@ -30,6 +30,8 @@
 //   --cache-dir DIR  also persist cache entries under DIR and reuse them
 //                    across runs (content-addressed, safe to share)
 //
+// Any other argument, or a flag outside this list, exits 1 naming it.
+//
 // The AIS_TRACE / AIS_TRACE_JSON environment variables enable the same
 // telemetry without touching the command line; AIS_CACHE / AIS_CACHE_DIR
 // mirror --cache / --cache-dir.
@@ -124,6 +126,13 @@ std::string report_line(const std::string& mode,
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  const std::string bad_arg = args.check(
+      {"in", "mode", "machine", "window", "jobs", "rename", "report", "verify",
+       "profile", "trace-json", "metrics-out", "cache", "cache-dir"});
+  if (!bad_arg.empty()) {
+    std::fprintf(stderr, "aisc: %s\n", bad_arg.c_str());
+    return 1;
+  }
   const std::string path = args.get_string("in", "");
   if (path.empty()) {
     std::fprintf(stderr, "usage: aisc --in FILE [--mode trace|loop|cfg] "

@@ -2,7 +2,8 @@
 //
 // Listens on a unix-domain socket and/or a TCP endpoint for framed compile
 // requests (see docs/SERVER.md for the protocol and the QoS model) and
-// serves them from a shared warm schedule cache through the ThreadPool:
+// serves them from a shared warm schedule cache on a fixed set of worker
+// threads that pull from the admission queue:
 //
 //   aisd --socket /tmp/aisd.sock
 //   aisd --socket /tmp/aisd.sock --threads 8 --cache-dir /var/cache/aisd
@@ -16,12 +17,8 @@
 //                         at least one of --socket/--tcp is required
 //   --port-file F         write the bound TCP port to F after listen (how
 //                         scripts consume --tcp HOST:0)
-//   --threads N           pool workers (0 = one per hardware thread)
+//   --threads N           worker threads (0 = one per hardware thread)
 //   --queue-cap N         bounded admission queue depth (default 1024)
-//   --batch-max N         micro-batch size cap (default 32)
-//   --batch-window-us N   micro-batch gather window (default 200)
-//   --dispatch-ahead N    unfinished jobs allowed past admission at once
-//                         (0 = 2x workers; small = tighter QoS ordering)
 //   --read-deadline-ms N  disconnect a peer stalled mid-frame this long
 //                         (default 30000; 0 disables)
 //   --qos BOOL            priority/quota/aging admission (default true;
@@ -37,8 +34,11 @@
 //   --metrics-out F       write the metric registry on clean shutdown
 //                         (Prometheus text, or JSON when F ends in .json)
 //
+// Any other argument, or a flag outside this list, exits 1 naming it.
+//
 // Shut down with the SHUTDOWN verb (aisload --shutdown) or SIGINT/SIGTERM;
-// both drain every admitted request and flush the cache's disk tier.
+// both drain every admitted request, flush the cache's disk tier, write
+// --metrics-out, print "clean shutdown" and exit 0.
 #include <signal.h>
 
 #include <cstdio>
@@ -50,6 +50,7 @@
 #include "obs/process_stats.hpp"
 #include "server/server.hpp"
 #include "support/cli.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -63,6 +64,14 @@ bool ends_with_json(const std::string& path) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  const std::string bad_arg = args.check(
+      {"socket", "tcp", "port-file", "threads", "queue-cap",
+       "read-deadline-ms", "qos", "quota-default", "quotas", "age-promote-us",
+       "defer-max-us", "cache", "cache-dir", "metrics-out"});
+  if (!bad_arg.empty()) {
+    std::fprintf(stderr, "aisd: %s\n", bad_arg.c_str());
+    return 1;
+  }
   server::ServerOptions options;
   options.socket_path = args.get_string("socket", "");
   options.tcp_addr = args.get_string("tcp", "");
@@ -70,8 +79,7 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: aisd [--socket PATH] [--tcp HOST:PORT] [--port-file F] "
-        "[--threads N] [--queue-cap N] [--batch-max N] [--batch-window-us N] "
-        "[--dispatch-ahead N] [--read-deadline-ms N] [--qos BOOL] "
+        "[--threads N] [--queue-cap N] [--read-deadline-ms N] [--qos BOOL] "
         "[--quota-default RPS] [--quotas tenant=rps,...] "
         "[--age-promote-us N] [--defer-max-us N] [--cache BOOL] "
         "[--cache-dir DIR] [--metrics-out FILE]\n"
@@ -81,10 +89,6 @@ int main(int argc, char** argv) {
   options.threads = static_cast<int>(args.get_int("threads", 0));
   options.queue_cap =
       static_cast<std::size_t>(args.get_int("queue-cap", 1024));
-  options.batch_max = static_cast<std::size_t>(args.get_int("batch-max", 32));
-  options.batch_window_us = args.get_int("batch-window-us", 200);
-  options.dispatch_ahead =
-      static_cast<std::size_t>(args.get_int("dispatch-ahead", 0));
   options.read_deadline_ms = args.get_int("read-deadline-ms", 30'000);
   options.admission.qos = args.get_bool("qos", true);
   options.admission.default_rps = args.get_double("quota-default", 0.0);
@@ -123,10 +127,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "aisd: %s\n", error.c_str());
     return 1;
   }
-  const int workers =
-      options.threads > 0
-          ? options.threads
-          : static_cast<int>(std::thread::hardware_concurrency());
+  const int workers = clamp_jobs(options.threads);
   if (!options.socket_path.empty()) {
     std::fprintf(stderr, "aisd: listening on %s (%d workers)\n",
                  options.socket_path.c_str(), workers);
@@ -151,6 +152,8 @@ int main(int argc, char** argv) {
     if (sigwait(&sigs, &sig) == 0) server.stop();
   }).detach();  // never fires on the SHUTDOWN-verb path; gone at exit
 
+  // On a signal, the stop() inside wait() blocks until the watcher's stop()
+  // has drained, so the metrics below and ~Server never race it.
   server.wait();
 
   if (!metrics_path.empty()) {

@@ -1,9 +1,9 @@
 // aisprof — telemetry report mode for the AIS pipeline.
 //
 // Compiles a program with full telemetry on and prints where the time and
-// the scheduler effort went: per-phase wall times, every obs counter, the
-// per-compile ScheduleStats delta, and (trace mode) the simulator's
-// stall-cycle attribution and window-occupancy histogram.
+// the scheduler effort went: per-phase wall times, every obs counter, and
+// (trace mode) the simulator's stall-cycle attribution and
+// window-occupancy histogram.
 //
 //   aisprof --in prog.s [--mode trace|loop|cfg] [--machine NAME]
 //           [--window N] [--repeat N] [--jobs N] [--trace-json FILE]
@@ -251,7 +251,6 @@ int main(int argc, char** argv) {
       args.get_string("trace-json", obs::env_trace_path());
   if (!trace_path.empty()) obs::set_trace_enabled(true);
 
-  const obs::ScheduleStats before_stats = obs::ScheduleStats::capture();
   Time cycles_before = 0;
   Time cycles_after = 0;
   double cycles_per_iteration = 0;
@@ -300,8 +299,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "aisprof: unknown mode '%s'\n", mode.c_str());
     return 2;
   }
-  const obs::ScheduleStats stats =
-      obs::ScheduleStats::capture().delta(before_stats);
 
   std::printf("aisprof: %s (mode %s, machine %s, repeat %d)\n", path.c_str(),
               mode.c_str(), machine.name().c_str(), repeat);
@@ -315,7 +312,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(cycles_after));
   }
   std::printf("\n%s\n", obs::profile_report().c_str());
-  std::printf("schedule stats (this run):\n%s\n", stats.to_string().c_str());
   if (have_sim) print_stall_table(sim);
 
   if (args.get_bool("metrics", false)) {
