@@ -210,8 +210,10 @@ BENCHMARK(BM_LookaheadDense)->RangeMultiplier(2)->Range(2, 32)->Complexity();
 /// random-IR traces of 24-instruction blocks drawn from a 16-register pool
 /// with 10% memory operations leave no chop point, so the live set grows
 /// with the trace and every Merge re-tries the retained suffix's idle slots
-/// — on rs6000 mostly fpu/branch-unit slots that no tail node precedes.
-/// The other compile-time rows all run single-unit machines.
+/// — on rs6000 almost all of them slots that single issue forces into
+/// every cycle, which the saturated-cycle guard decides without a rank run.
+/// At 32 and 64 blocks Merge dominates.  The other compile-time rows all
+/// run single-unit machines.
 void BM_LookaheadUnchoppable(benchmark::State& state) {
   const int blocks = static_cast<int>(state.range(0));
   Prng prng(0x0c4b + static_cast<std::uint64_t>(blocks));
@@ -235,6 +237,8 @@ BENCHMARK(BM_LookaheadUnchoppable)
     ->Arg(4)
     ->Arg(8)
     ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 // --- schedule cache -------------------------------------------------------

@@ -20,6 +20,18 @@ std::vector<int> unit_classes(const MachineModel& machine) {
   return classes;
 }
 
+/// Idle slots that issue width forces into every cycle below the makespan
+/// of any schedule the rank runs produce: U - w when the machine has more
+/// units than it issues to per cycle and every node executes in one cycle
+/// (a unit is then busy at t only if an instruction starts on it at t, and
+/// at most w start per cycle); 0 otherwise, which switches guard (3) off.
+std::size_t forced_idle_per_cycle(const RankScheduler& scheduler) {
+  const MachineModel& machine = scheduler.machine();
+  const int spare = machine.total_units() - machine.issue_width();
+  if (spare <= 0 || scheduler.graph().max_exec_time() > 1) return 0;
+  return static_cast<std::size_t>(spare);
+}
+
 /// Restores the session's rank-cache snapshot on scope exit unless the
 /// trial committed.  Failed deadline trials thereby never pollute the
 /// session cache: the next trial diffs against the base deadlines instead
@@ -39,26 +51,53 @@ class SessionRestore {
 };
 
 /// State shared by the attempts of one Delay_Idle_Slots sweep: the unit ->
-/// class map, buffers reused by every attempt, and the Move_Idle counters,
-/// issued once by flush() instead of once per event (each bump is a map
-/// lookup in every active CounterRecorder, and recorders sum deltas per
-/// name, so batching leaves recorded deltas and registry totals unchanged).
+/// class map, guard (3)'s bound, the rank session, buffers reused by every
+/// attempt, and the Move_Idle counters, issued once by flush() instead of
+/// once per event (each bump is a map lookup in every active
+/// CounterRecorder, and recorders sum deltas per name, so batching leaves
+/// recorded deltas and registry totals unchanged).
 struct MoveIdleTrials {
-  explicit MoveIdleTrials(const MachineModel& machine)
-      : classes(unit_classes(machine)) {}
+  explicit MoveIdleTrials(const RankScheduler& scheduler)
+      : scheduler(scheduler),
+        classes(unit_classes(scheduler.machine())),
+        forced_idle(forced_idle_per_cycle(scheduler)) {}
 
   void flush() const {
     if (attempts != 0) AIS_OBS_COUNT(obs::ctr::kIdleMoveAttempts, attempts);
-    if (pruned != 0) AIS_OBS_COUNT(obs::ctr::kIdleMovesPruned, pruned);
+    if (pruned_saturated != 0) {
+      AIS_OBS_COUNT(obs::ctr::kIdleMovesPrunedSaturated, pruned_saturated);
+    }
+    if (pruned_no_tail != 0) {
+      AIS_OBS_COUNT(obs::ctr::kIdleMovesPrunedNoTail, pruned_no_tail);
+    }
+    if (pruned_no_refill != 0) {
+      AIS_OBS_COUNT(obs::ctr::kIdleMovesPrunedNoRefill, pruned_no_refill);
+    }
     if (tightened != 0) AIS_OBS_COUNT(obs::ctr::kDeadlinesTightened, tightened);
     if (moved != 0) AIS_OBS_COUNT(obs::ctr::kIdleSlotsMoved, moved);
   }
 
+  /// The session every rank run of the sweep goes through.  The first
+  /// attempt that passes all three guards builds it (closure, topological
+  /// order, edge CSR), so a sweep the guards decide entirely builds none.
+  /// Every re-schedule keeps the active set, so one session serves them all.
+  RankSession& session_for(const NodeSet& active) {
+    if (!session.has_value()) session.emplace(scheduler, active);
+    AIS_CHECK(session->active() == active,
+              "session active set must match the schedule");
+    return *session;
+  }
+
+  const RankScheduler& scheduler;
   const std::vector<int> classes;
+  const std::size_t forced_idle;  // guard (3): idle slots in every cycle
+  std::optional<RankSession> session;
   DeadlineMap trial;          // trial deadlines of the current attempt
   std::vector<NodeId> sigma;  // nodes before the slot on its FU class
   std::uint64_t attempts = 0;
-  std::uint64_t pruned = 0;
+  std::uint64_t pruned_saturated = 0;
+  std::uint64_t pruned_no_tail = 0;
+  std::uint64_t pruned_no_refill = 0;
   std::uint64_t tightened = 0;
   std::uint64_t moved = 0;
 };
@@ -68,25 +107,33 @@ struct MoveIdleTrials {
 /// moved later; returns nullopt ("not moved") otherwise, with `deadlines`
 /// and the session's rank cache as on entry.  The failure path copies
 /// nothing: it reads `s` until the first rank run.
-std::optional<Schedule> try_move_idle_slot(RankSession& session,
-                                           const Schedule& s,
+std::optional<Schedule> try_move_idle_slot(const Schedule& s,
                                            DeadlineMap& deadlines,
                                            IdleSlot& slot,
                                            const RankOptions& opts,
                                            MoveIdleTrials& trials) {
   ++trials.attempts;
   const NodeSet& active = s.active();
-  AIS_CHECK(session.active() == active,
-            "session active set must match the schedule");
   const int slot_class = trials.classes[static_cast<std::size_t>(slot.unit)];
   const std::size_t index = s.idle_slot_index(slot);
+
+  // Guard (3): every cycle below the makespan of a schedule that a rank run
+  // below produces holds at least forced_idle idle slots, and idle_slots()
+  // is sorted by time.  So when index < forced_idle * (slot.time + 1), that
+  // schedule's slot `index` lies at a time <= slot.time, or past the end of
+  // its list, which reads the makespan, also <= slot.time.  The slot never
+  // moves later, and every exit below is a failure.
+  if (index < trials.forced_idle * (static_cast<std::size_t>(slot.time) + 1)) {
+    ++trials.pruned_saturated;
+    return std::nullopt;
+  }
 
   // Guard (1): the loop below starts at the tail node of `s`; when the slot
   // is preceded by idle time there is none, and the first iteration fails
   // (every exit before it is a failure too).
   const NodeId first_tail = s.tail_node(slot.unit, slot.time);
   if (first_tail == kInvalidNode) {
-    ++trials.pruned;
+    ++trials.pruned_no_tail;
     return std::nullopt;
   }
 
@@ -101,23 +148,25 @@ std::optional<Schedule> try_move_idle_slot(RankSession& session,
   std::vector<NodeId>& sigma = trials.sigma;
   sigma.clear();
   bool refill_candidate = false;
-  for (const NodeId y : session.active_ids()) {
+  active.bits().for_each([&](std::size_t i) {
+    const auto y = static_cast<NodeId>(i);
     if (trials.classes[static_cast<std::size_t>(s.unit_of(y))] != slot_class) {
-      continue;
+      return;
     }
     if (s.start(y) < slot.time) {
       sigma.push_back(y);
       if (y != first_tail && deadlines[y] >= slot.time) refill_candidate = true;
     }
-  }
+  });
   if (!refill_candidate) {
-    ++trials.pruned;
+    ++trials.pruned_no_refill;
     return std::nullopt;
   }
 
   // Prime the cache at the *uncapped* deadlines and snapshot it; the trial
   // below is speculative, and SessionRestore rolls the cache back to this
   // state on every failure path.
+  RankSession& session = trials.session_for(active);
   session.compute_ranks(deadlines, opts);
   session.snapshot();
   SessionRestore restore(session);
@@ -205,16 +254,9 @@ std::optional<Schedule> try_move_idle_slot(RankSession& session,
 MoveIdleResult move_idle_slot(const RankScheduler& scheduler, const Schedule& s,
                               DeadlineMap& deadlines, IdleSlot slot,
                               const RankOptions& opts) {
-  RankSession session(scheduler, s.active());
-  return move_idle_slot(session, s, deadlines, slot, opts);
-}
-
-MoveIdleResult move_idle_slot(RankSession& session, const Schedule& s,
-                              DeadlineMap& deadlines, IdleSlot slot,
-                              const RankOptions& opts) {
-  MoveIdleTrials trials(session.scheduler().machine());
+  MoveIdleTrials trials(scheduler);
   std::optional<Schedule> moved =
-      try_move_idle_slot(session, s, deadlines, slot, opts, trials);
+      try_move_idle_slot(s, deadlines, slot, opts, trials);
   trials.flush();
   if (!moved.has_value()) return MoveIdleResult{s, slot, false};
   return MoveIdleResult{std::move(*moved), slot, true};
@@ -223,10 +265,7 @@ MoveIdleResult move_idle_slot(RankSession& session, const Schedule& s,
 Schedule delay_idle_slots(const RankScheduler& scheduler, Schedule s,
                           DeadlineMap& deadlines, const RankOptions& opts) {
   AIS_OBS_SPAN("move_idle");
-  // Every re-schedule below keeps the active set of `s`, so one session
-  // serves the whole sweep.
-  RankSession session(scheduler, s.active());
-  MoveIdleTrials trials(scheduler.machine());
+  MoveIdleTrials trials(scheduler);
   std::size_t i = 0;
   while (true) {
     const auto& slots = s.idle_slots();
@@ -236,7 +275,7 @@ Schedule delay_idle_slots(const RankScheduler& scheduler, Schedule s,
     // slot that stays put leaves `s` as it is.
     while (true) {
       std::optional<Schedule> moved =
-          try_move_idle_slot(session, s, deadlines, slot, opts, trials);
+          try_move_idle_slot(s, deadlines, slot, opts, trials);
       if (!moved.has_value()) break;
       s = std::move(*moved);
       if (slot.time >= s.makespan()) break;

@@ -34,25 +34,23 @@ struct MoveIdleResult {
 /// Tries to delay the idle slot `slot` of `s`.  `deadlines` is updated in
 /// place: committed on success, untouched on failure.  `s` must be a
 /// feasible schedule for its active set under `deadlines`.  Attempts that
-/// provably fail (no tail node precedes the slot, or no other node before
-/// it may complete at slot.time) are decided before any rank work and
-/// counted as move_idle.pruned.
+/// provably fail are decided before any rank work and counted per reason:
+/// move_idle.pruned_saturated when issue width forces the slot's whole
+/// prefix of idle_slots() into every cycle (U - w idle slots per cycle on a
+/// machine with U units, issue width w < U and unit execution times),
+/// move_idle.pruned_no_tail when no tail node precedes the slot, and
+/// move_idle.pruned_no_refill when no other node before it may complete at
+/// slot.time.  Proofs in docs/PERFORMANCE.md.
 MoveIdleResult move_idle_slot(const RankScheduler& scheduler, const Schedule& s,
-                              DeadlineMap& deadlines, IdleSlot slot,
-                              const RankOptions& opts = {});
-
-/// Same, reusing a caller-owned session (its active set must equal
-/// s.active()).  Delay_Idle_Slots drives all its attempts through one
-/// session so topo order / closure are built once and rank updates stay
-/// incremental across slots.
-MoveIdleResult move_idle_slot(RankSession& session, const Schedule& s,
                               DeadlineMap& deadlines, IdleSlot slot,
                               const RankOptions& opts = {});
 
 /// Delays every idle slot of `s` as late as possible, earliest slot first,
 /// re-trying each slot until it no longer moves (paper Fig. 6).  Returns the
 /// final schedule; `deadlines` accumulates all committed reductions.  A
-/// failed attempt copies no schedule: the sweep keeps the one it has.
+/// failed attempt copies no schedule: the sweep keeps the one it has.  All
+/// attempts share one RankSession, built by the first attempt that passes
+/// the guards above, so a sweep the guards decide entirely builds none.
 Schedule delay_idle_slots(const RankScheduler& scheduler, Schedule s,
                           DeadlineMap& deadlines, const RankOptions& opts = {});
 

@@ -70,7 +70,10 @@ namespace ais {
 /// older scheduler can never be served.
 /// v2: Move_Idle_Slot's failure guards changed the recorded counter deltas
 /// (move_idle.pruned; fewer deadline caps and incremental rank passes).
-inline constexpr std::uint32_t kScheduleCacheAlgoVersion = 2;
+/// v3: the saturated-cycle guard and the lazily built Delay_Idle_Slots
+/// session dropped rank runs and deadline caps from the recorded deltas,
+/// and move_idle.pruned split into one counter per guard.
+inline constexpr std::uint32_t kScheduleCacheAlgoVersion = 3;
 /// Bump when the key or value serialization layout changes.
 /// v3: values grew per-name histogram sample lists (value_samples).
 /// v4: the key prefix lost its 8-byte Merge fill-depth cap field.

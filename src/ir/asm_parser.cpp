@@ -275,14 +275,18 @@ std::optional<Program> parse_program_or_error(const std::string& text,
   return std::nullopt;
 }
 
-std::string branch_position_error(const Program& prog) {
+std::string block_structure_error(const Program& prog) {
   for (std::size_t b = 0; b < prog.blocks.size(); ++b) {
     const BasicBlock& bb = prog.blocks[b];
+    const auto name = [&] {
+      return bb.label.empty() ? "#" + std::to_string(b) : bb.label;
+    };
+    if (bb.insts.empty()) {
+      return "block " + name() + ": a block must hold at least one instruction";
+    }
     for (std::size_t i = 0; i + 1 < bb.insts.size(); ++i) {
       if (!bb.insts[i].is_branch()) continue;
-      const std::string name =
-          bb.label.empty() ? "#" + std::to_string(b) : bb.label;
-      return "block " + name + ": branch '" + bb.insts[i].to_string() +
+      return "block " + name() + ": branch '" + bb.insts[i].to_string() +
              "' must be the final instruction of its block";
     }
   }

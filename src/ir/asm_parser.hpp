@@ -40,11 +40,12 @@ BasicBlock parse_block(const std::string& text);
 std::optional<Program> parse_program_or_error(const std::string& text,
                                               std::string* error);
 
-/// The block-structure rule the dependence builder relies on (it aborts on
-/// a violation): a branch may only end its block.  Compile entry points run
-/// it on parsed input before building any graph.  Returns an empty string
-/// when `prog` is well formed, else a message naming the first offending
-/// block.  O(instructions).
-std::string branch_position_error(const Program& prog);
+/// The block-structure rules the compile pipeline relies on (the dependence
+/// builder, Algorithm Lookahead and the emitter abort on a violation): every
+/// block holds at least one instruction, and a branch may only end its
+/// block.  Compile entry points run it on parsed input before building any
+/// graph.  Returns an empty string when `prog` is well formed, else a
+/// message naming the first offending block.  O(instructions).
+std::string block_structure_error(const Program& prog);
 
 }  // namespace ais

@@ -273,8 +273,16 @@ inline constexpr const char* kMergeGallopProbes = "merge.gallop_probes";
 inline constexpr const char* kIdleMoveAttempts = "move_idle.attempts";
 inline constexpr const char* kIdleSlotsMoved = "move_idle.moved";
 /// Attempts decided "not moved" from the schedule and deadlines alone,
-/// before any rank work (see core/move_idle.cpp for the two guards).
-inline constexpr const char* kIdleMovesPruned = "move_idle.pruned";
+/// before any rank work, one counter per guard (see core/move_idle.cpp):
+/// the slot lies in the prefix of idle slots that issue width forces into
+/// every cycle, no tail node precedes it, or no other node before it may
+/// refill the tail position.
+inline constexpr const char* kIdleMovesPrunedSaturated =
+    "move_idle.pruned_saturated";
+inline constexpr const char* kIdleMovesPrunedNoTail =
+    "move_idle.pruned_no_tail";
+inline constexpr const char* kIdleMovesPrunedNoRefill =
+    "move_idle.pruned_no_refill";
 inline constexpr const char* kDeadlinesTightened =
     "move_idle.deadlines_tightened";
 inline constexpr const char* kChopCalls = "chop.calls";

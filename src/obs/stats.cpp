@@ -15,8 +15,9 @@ void register_builtin_counters() {
         ctr::kRankIncrementalPasses, ctr::kRankNodesReranked,
         ctr::kMergeCalls, ctr::kMergeRelaxRounds, ctr::kMergeFullRelaxRounds,
         ctr::kMergeGallopProbes,
-        ctr::kIdleMoveAttempts, ctr::kIdleSlotsMoved, ctr::kIdleMovesPruned,
-        ctr::kDeadlinesTightened,
+        ctr::kIdleMoveAttempts, ctr::kIdleSlotsMoved,
+        ctr::kIdleMovesPrunedSaturated, ctr::kIdleMovesPrunedNoTail,
+        ctr::kIdleMovesPrunedNoRefill, ctr::kDeadlinesTightened,
         ctr::kChopCalls, ctr::kChopPoints, ctr::kLookaheadBlocks,
         ctr::kWindowSpanOverW, ctr::kSimRuns, ctr::kSimCycles,
         ctr::kSimStallLatency, ctr::kSimStallWindow, ctr::kSimEvents,

@@ -79,11 +79,10 @@ bool decode_compile_options(const Request& request, CompileOptions* options,
       ok = parse_bool(value, &options->verify);
     } else if (key == "profile") {
       ok = parse_bool(value, &options->profile);
-    } else if (key == "file" || key == "id" || key == "priority" ||
-               key == "tenant") {
-      // Handled by the server before the compile: file= loads the body,
-      // id= is echoed into the reply, priority=/tenant= drive admission
-      // (validated before enqueue) and never change the compiled output.
+    } else if (key == "id" || key == "priority" || key == "tenant") {
+      // Handled by the server: id= is echoed into the reply,
+      // priority=/tenant= drive admission (validated before enqueue) and
+      // never change the compiled output.
     } else {
       *error = "unknown COMPILE option '" + key + "'";
       return false;
@@ -107,7 +106,7 @@ void compile_ir(const std::string& ir_text, const CompileOptions& options,
     reply->message = "bad IR: " + parse_error;
     return;
   }
-  if (std::string error = branch_position_error(*prog); !error.empty()) {
+  if (std::string error = block_structure_error(*prog); !error.empty()) {
     reply->message = "bad IR: " + error;
     return;
   }

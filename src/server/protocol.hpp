@@ -23,9 +23,11 @@
 //   SHUTDOWN
 //
 // COMPILE options mirror the aisc command line (mode, machine, window,
-// rename, report, verify) plus `file=` (compile a server-side path instead
-// of the body), `profile=1` (append the request's counter deltas to the
-// reply) and `id=` (echoed back, for clients that pipeline).
+// rename, report, verify) plus `profile=1` (append the request's counter
+// deltas to the reply) and `id=` (echoed back, for clients that pipeline).
+// The IR always travels in the body: the server reads no file on a
+// client's behalf, and any other option gets an "unknown COMPILE option"
+// error reply.
 //
 // Responses
 // ---------

@@ -15,9 +15,7 @@
 #include <chrono>
 #include <climits>
 #include <cstring>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -482,22 +480,7 @@ struct Server::Impl {
     if (!decode_compile_options(job.request, &copts, &error)) {
       reply.message = error;
     } else {
-      const std::string* body = &job.request.body;
-      std::string file_body;
-      std::string_view file = job.request.option("file");
-      if (!file.empty()) {
-        std::ifstream in{std::string(file)};
-        if (!in.is_open()) {
-          reply.message = "cannot open file '" + std::string(file) + "'";
-          body = nullptr;
-        } else {
-          std::ostringstream text;
-          text << in.rdbuf();
-          file_body = text.str();
-          body = &file_body;
-        }
-      }
-      if (body != nullptr) compile_ir(*body, copts, scratch, &reply);
+      compile_ir(job.request.body, copts, scratch, &reply);
     }
 
     std::string_view id = job.request.option("id");

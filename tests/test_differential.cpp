@@ -1016,13 +1016,99 @@ void expect_move_idle_matches_reference(const RankScheduler& scheduler,
   EXPECT_EQ(got_d, want_d) << what;
 }
 
-/// The failure guards, the copy-free failure path and the batched counters
-/// must leave Move_Idle_Slot and Delay_Idle_Slots byte-identical to the
-/// verbatim reference on random blocks and on Lookahead's merged states of
-/// random-IR traces, on all four presets (guard (1) fires mostly on the
-/// multi-unit ones, whose extra units idle nearly every cycle).  Attempts,
-/// moves and rank runs keep their counts; the pruned attempts' deadline
-/// caps and incremental rank passes disappear.
+/// Calls fn(scheduler, schedule, deadlines, what) on the Delay_Idle_Slots
+/// inputs the Move_Idle differential tests share, for one machine: random
+/// blocks scheduled with uniform deadlines normalized to the makespan (the
+/// block-scheduler and loop entry points), and every merged state the
+/// Lookahead chain (Merge, Delay_Idle_Slots, Chop at W = 2) reaches on
+/// random-IR traces of two shapes: the 16-register, 10%-memory traces that
+/// leave no chop point, and the generator defaults.
+template <typename Fn>
+void for_each_move_idle_input(const MachineModel& machine,
+                              const std::string& name, Fn&& fn) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Prng prng(0x301e + seed * 409);
+    for (const bool layered : {false, true}) {
+      const DepGraph g = [&] {
+        if (!layered) {
+          return random_machine_block(prng, machine, /*num_nodes=*/24,
+                                      /*edge_prob=*/0.2);
+        }
+        RandomBlockParams params;
+        params.num_nodes = 24;
+        params.layers = 12;
+        params.edge_prob = 0.8;
+        params.max_latency = 3;
+        return random_block(prng, params);
+      }();
+      const RankScheduler scheduler(g, machine);
+      const NodeSet all = NodeSet::all(g.num_nodes());
+      DeadlineMap d = uniform_deadlines(g, huge_deadline(g, all));
+      const RankResult r = scheduler.run(all, d, {});
+      ASSERT_TRUE(r.feasible);
+      for (const NodeId id : all.ids()) d[id] = r.makespan;
+      fn(scheduler, r.schedule, d,
+         name + " block seed " + std::to_string(seed) +
+             (layered ? " layered" : ""));
+    }
+  }
+
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Prng prng(0x1e7a + seed * 613);
+    for (const bool unchoppable : {true, false}) {
+      RandomIrParams ir;
+      ir.num_insts = 14;
+      if (unchoppable) {
+        ir.num_gprs = 16;
+        ir.mem_frac = 0.1;
+      }
+      const DepGraph g =
+          build_trace_graph(random_ir_trace(prng, ir, 3), machine);
+      const RankScheduler scheduler(g, machine);
+      const Time huge = huge_deadline(g, NodeSet::all(g.num_nodes()));
+      NodeSet old(g.num_nodes());
+      DeadlineMap deadlines = uniform_deadlines(g, huge);
+      Time t_old = 0;
+      const std::vector<NodeSet> blocks = blocks_of(g);
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        MergeResult m = merge_blocks(scheduler, old, blocks[b], deadlines,
+                                     t_old, huge, {});
+        deadlines = std::move(m.deadlines);
+        fn(scheduler, m.schedule, deadlines,
+           name + " trace seed " + std::to_string(seed) + " block " +
+               std::to_string(b) + (unchoppable ? " unchoppable" : ""));
+        const Schedule merged =
+            delay_idle_slots(scheduler, std::move(m.schedule), deadlines, {});
+        const ChopResult c = chop(merged, deadlines, /*window=*/2);
+        old = c.suffix;
+        t_old = c.suffix_makespan;
+      }
+    }
+  }
+}
+
+std::uint64_t pruned_total(const CounterDeltaMap& deltas) {
+  return count_of(deltas, obs::ctr::kIdleMovesPrunedSaturated) +
+         count_of(deltas, obs::ctr::kIdleMovesPrunedNoTail) +
+         count_of(deltas, obs::ctr::kIdleMovesPrunedNoRefill);
+}
+
+/// The machine half of guard (3)'s condition: more units than issue width.
+/// Every preset's operations execute in one cycle, so among the presets
+/// the guard is on exactly for rs6000.
+bool issue_bound(const MachineModel& machine) {
+  return machine.total_units() > machine.issue_width();
+}
+
+/// The failure guards, the copy-free failure path, the lazily built session
+/// and the batched counters must leave Move_Idle_Slot and Delay_Idle_Slots
+/// byte-identical to the verbatim reference on random blocks and on
+/// Lookahead's merged states of random-IR traces, on all four presets
+/// (guard (1) fires mostly on the multi-unit ones, whose extra units idle
+/// nearly every cycle; guard (3) only on rs6000, which issues to one of
+/// its three units per cycle).  Attempts and moves keep their counts, and so do
+/// rank runs where guard (3) is off; the pruned attempts' deadline caps,
+/// incremental rank passes and (on rs6000) rank runs disappear.
 TEST(Differential, MoveIdleMatchesVerbatimReference) {
   struct Preset {
     const char* name;
@@ -1037,83 +1123,27 @@ TEST(Differential, MoveIdleMatchesVerbatimReference) {
   MoveIdleTally total;
   for (const Preset& preset : presets) {
     MoveIdleTally tally;
-    // Random blocks, scheduled with uniform deadlines normalized to the
-    // makespan (the block-scheduler and loop entry points).
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      Prng prng(0x301e + seed * 409);
-      for (const bool layered : {false, true}) {
-        const DepGraph g = [&] {
-          if (!layered) {
-            return random_machine_block(prng, preset.machine,
-                                        /*num_nodes=*/24, /*edge_prob=*/0.2);
-          }
-          RandomBlockParams params;
-          params.num_nodes = 24;
-          params.layers = 12;
-          params.edge_prob = 0.8;
-          params.max_latency = 3;
-          return random_block(prng, params);
-        }();
-        const RankScheduler scheduler(g, preset.machine);
-        const NodeSet all = NodeSet::all(g.num_nodes());
-        DeadlineMap d = uniform_deadlines(g, huge_deadline(g, all));
-        const RankResult r = scheduler.run(all, d, {});
-        ASSERT_TRUE(r.feasible);
-        for (const NodeId id : all.ids()) d[id] = r.makespan;
-        expect_move_idle_matches_reference(
-            scheduler, r.schedule, d,
-            std::string(preset.name) + " block seed " + std::to_string(seed) +
-                (layered ? " layered" : ""),
-            tally);
-      }
-    }
-
-    // Random-IR traces: the Lookahead chain (Merge, Delay_Idle_Slots, Chop
-    // at W = 2), comparing every merged state it reaches.  Two shapes: the
-    // 16-register, 10%-memory traces that leave no chop point, and the
-    // generator defaults.
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      Prng prng(0x1e7a + seed * 613);
-      for (const bool unchoppable : {true, false}) {
-        RandomIrParams ir;
-        ir.num_insts = 14;
-        if (unchoppable) {
-          ir.num_gprs = 16;
-          ir.mem_frac = 0.1;
-        }
-        const DepGraph g =
-            build_trace_graph(random_ir_trace(prng, ir, 3), preset.machine);
-        const RankScheduler scheduler(g, preset.machine);
-        const Time huge = huge_deadline(g, NodeSet::all(g.num_nodes()));
-        NodeSet old(g.num_nodes());
-        DeadlineMap deadlines = uniform_deadlines(g, huge);
-        Time t_old = 0;
-        const std::vector<NodeSet> blocks = blocks_of(g);
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-          MergeResult m = merge_blocks(scheduler, old, blocks[b], deadlines,
-                                       t_old, huge, {});
-          deadlines = std::move(m.deadlines);
-          expect_move_idle_matches_reference(
-              scheduler, m.schedule, deadlines,
-              std::string(preset.name) + " trace seed " +
-                  std::to_string(seed) + " block " + std::to_string(b) +
-                  (unchoppable ? " unchoppable" : ""),
-              tally);
-          const Schedule merged =
-              delay_idle_slots(scheduler, std::move(m.schedule), deadlines, {});
-          const ChopResult c = chop(merged, deadlines, /*window=*/2);
-          old = c.suffix;
-          t_old = c.suffix_makespan;
-        }
-      }
-    }
+    for_each_move_idle_input(
+        preset.machine, preset.name,
+        [&](const RankScheduler& scheduler, const Schedule& s,
+            const DeadlineMap& d, const std::string& what) {
+          expect_move_idle_matches_reference(scheduler, s, d, what, tally);
+        });
 
     for (const char* name :
-         {obs::ctr::kIdleMoveAttempts, obs::ctr::kIdleSlotsMoved,
-          obs::ctr::kRankRuns, obs::ctr::kRankNodesRanked,
-          obs::ctr::kRankInfeasible}) {
+         {obs::ctr::kIdleMoveAttempts, obs::ctr::kIdleSlotsMoved}) {
       EXPECT_EQ(count_of(tally.got, name), count_of(tally.want, name))
           << preset.name << " " << name;
+    }
+    for (const char* name : {obs::ctr::kRankRuns, obs::ctr::kRankNodesRanked,
+                             obs::ctr::kRankInfeasible}) {
+      if (issue_bound(preset.machine)) {
+        EXPECT_LE(count_of(tally.got, name), count_of(tally.want, name))
+            << preset.name << " " << name;
+      } else {
+        EXPECT_EQ(count_of(tally.got, name), count_of(tally.want, name))
+            << preset.name << " " << name;
+      }
     }
     for (const char* name :
          {obs::ctr::kDeadlinesTightened, obs::ctr::kRankIncrementalPasses,
@@ -1121,22 +1151,143 @@ TEST(Differential, MoveIdleMatchesVerbatimReference) {
       EXPECT_LE(count_of(tally.got, name), count_of(tally.want, name))
           << preset.name << " " << name;
     }
-    EXPECT_EQ(count_of(tally.want, obs::ctr::kIdleMovesPruned), 0u);
+    EXPECT_EQ(pruned_total(tally.want), 0u);
     if (obs::kHooksCompiledIn && preset.machine.total_units() > 1) {
-      EXPECT_GT(count_of(tally.got, obs::ctr::kIdleMovesPruned), 0u)
+      EXPECT_GT(pruned_total(tally.got), 0u) << preset.name;
+    }
+    // Guard (3) fires exactly where its bound exists.
+    if (obs::kHooksCompiledIn) {
+      EXPECT_EQ(
+          count_of(tally.got, obs::ctr::kIdleMovesPrunedSaturated) > 0,
+          issue_bound(preset.machine))
           << preset.name;
     }
     add_deltas(tally.got, total.got);
     add_deltas(tally.want, total.want);
   }
   if (obs::kHooksCompiledIn) {
-    // Every path was exercised: pruned attempts, attempts that reach the
-    // rank runs, and moves.
+    // Every path was exercised: attempts pruned by each guard, attempts
+    // that reach the rank runs, and moves.
     const std::uint64_t attempts =
         count_of(total.got, obs::ctr::kIdleMoveAttempts);
-    EXPECT_GT(count_of(total.got, obs::ctr::kIdleMovesPruned), 0u);
-    EXPECT_LT(count_of(total.got, obs::ctr::kIdleMovesPruned), attempts);
+    for (const char* name : {obs::ctr::kIdleMovesPrunedSaturated,
+                             obs::ctr::kIdleMovesPrunedNoTail,
+                             obs::ctr::kIdleMovesPrunedNoRefill}) {
+      EXPECT_GT(count_of(total.got, name), 0u) << name;
+    }
+    EXPECT_LT(pruned_total(total.got), attempts);
     EXPECT_GT(count_of(total.got, obs::ctr::kIdleSlotsMoved), 0u);
+  }
+}
+
+/// A unit-execution machine with 4 units and issue width 2 (U - w = 2):
+/// three integer units and one FP unit, rs6000-like latencies.
+MachineModel dual_issue_quad() {
+  MachineModel m("dual-issue-quad", {{"int", 3}, {"fp", 1}},
+                 /*issue_width=*/2, /*default_window=*/4);
+  m.set_timing(OpClass::kIntMul, {0, 1, 4});
+  m.set_timing(OpClass::kLoad, {0, 1, 1});
+  m.set_timing(OpClass::kCompare, {0, 1, 1});
+  m.set_timing(OpClass::kFpAdd, {1, 1, 2});
+  m.set_timing(OpClass::kFpMul, {1, 1, 2});
+  m.set_timing(OpClass::kFpDiv, {1, 1, 17});
+  return m;
+}
+
+/// Guard (3)'s proof, checked against the verbatim reference.  On a machine
+/// with U units, issue width w < U and unit execution times, every idle
+/// slot at index i < (U - w)(t + 1) of idle_slots() lies in a prefix that
+/// issue width forces into every schedule: ref_move_idle_slot returns "not
+/// moved" with the deadlines unchanged, and the optimized path decides the
+/// attempt as move_idle.pruned_saturated without a rank run.  Slots past
+/// the bound are never counted as saturated.  On the 4-unit machine every
+/// slot and sweep also matches the reference in full (rs6000's inputs are
+/// compared by MoveIdleMatchesVerbatimReference).
+TEST(Differential, SaturatedPrefixSlotsNeverMove) {
+  struct Case {
+    const char* name;
+    MachineModel machine;
+    bool compare_all;
+  };
+  for (const Case& c : {Case{"rs6000", rs6000_like(), false},
+                        Case{"dual-issue-quad", dual_issue_quad(), true}}) {
+    const std::size_t forced = static_cast<std::size_t>(
+        c.machine.total_units() - c.machine.issue_width());
+    std::size_t in_prefix = 0;
+    std::size_t past_prefix = 0;
+    MoveIdleTally tally;
+    for_each_move_idle_input(
+        c.machine, c.name,
+        [&](const RankScheduler& scheduler, const Schedule& s,
+            const DeadlineMap& d, const std::string& what) {
+          ASSERT_EQ(scheduler.graph().max_exec_time(), 1) << what;
+          const std::vector<IdleSlot> slots = s.idle_slots();
+          for (std::size_t i = 0; i < slots.size(); ++i) {
+            const IdleSlot slot = slots[i];
+            const std::string at = what + " slot #" + std::to_string(i) +
+                                   " " + std::to_string(slot.unit) + "@" +
+                                   std::to_string(slot.time);
+            DeadlineMap got_d = d;
+            CounterDeltaMap deltas;
+            const MoveIdleResult got = [&] {
+              obs::CounterRecorder rec;
+              MoveIdleResult result =
+                  move_idle_slot(scheduler, s, got_d, slot, {});
+              deltas = rec.deltas();
+              return result;
+            }();
+            const std::uint64_t saturated =
+                count_of(deltas, obs::ctr::kIdleMovesPrunedSaturated);
+            if (i >= forced * static_cast<std::size_t>(slot.time + 1)) {
+              ++past_prefix;
+              EXPECT_EQ(saturated, 0u) << at;
+              continue;
+            }
+            ++in_prefix;
+            DeadlineMap want_d = d;
+            RankSession session(scheduler, s.active());
+            const MoveIdleResult want =
+                ref_move_idle_slot(session, s, want_d, slot, {});
+            EXPECT_FALSE(want.moved) << at;
+            EXPECT_EQ(want_d, d) << at;
+            EXPECT_FALSE(got.moved) << at;
+            EXPECT_EQ(got_d, d) << at;
+            if (obs::kHooksCompiledIn) {
+              EXPECT_EQ(saturated, 1u) << at;
+              EXPECT_EQ(count_of(deltas, obs::ctr::kRankRuns), 0u) << at;
+            }
+          }
+          if (c.compare_all) {
+            expect_move_idle_matches_reference(scheduler, s, d, what, tally);
+          }
+        });
+    EXPECT_GT(in_prefix, 0u) << c.name;
+    EXPECT_GT(past_prefix, 0u) << c.name;
+  }
+}
+
+/// Negative control: with one 2-cycle operation class a unit can be busy
+/// at t without an instruction starting there, the per-cycle bound fails,
+/// and guard (3) must stay off — on a 3-unit, single-issue machine whose
+/// integer ALU ops take 2 cycles, no attempt is pruned as saturated, and
+/// every result still matches the reference.
+TEST(Differential, SaturatedGuardOffWithMultiCycleOps) {
+  MachineModel machine = rs6000_like();
+  machine.set_timing(OpClass::kIntAlu, {0, 2, 0});
+  std::size_t multi_cycle_inputs = 0;
+  MoveIdleTally tally;
+  for_each_move_idle_input(
+      machine, "rs6000-alu2",
+      [&](const RankScheduler& scheduler, const Schedule& s,
+          const DeadlineMap& d, const std::string& what) {
+        if (scheduler.graph().max_exec_time() < 2) return;  // unit blocks
+        ++multi_cycle_inputs;
+        expect_move_idle_matches_reference(scheduler, s, d, what, tally);
+      });
+  EXPECT_GT(multi_cycle_inputs, 0u);
+  EXPECT_EQ(count_of(tally.got, obs::ctr::kIdleMovesPrunedSaturated), 0u);
+  if (obs::kHooksCompiledIn) {
+    EXPECT_GT(count_of(tally.got, obs::ctr::kIdleMoveAttempts), 0u);
   }
 }
 

@@ -17,8 +17,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -332,33 +333,66 @@ TEST_F(ServerTest, MalformedRequestsGetErrorRepliesNotCrashes) {
   ASSERT_TRUE(client.connect(socket_path_, &error)) << error;
 
   struct Case {
-    const char* name;
+    std::string name;
     std::string payload;
+    std::string message = {};  // when set, the reply's exact message
+    std::string absent = {};   // when set, must not appear in the reply
   };
   const std::string valid_body = "block a:\n  LI r1, 1\n  ADD r2, r1, r1\n";
-  for (const Case& c : {
-           Case{"empty payload", ""},
-           Case{"unknown verb", "FROBNICATE\n"},
-           Case{"bad option token", "COMPILE modetrace\n" + valid_body},
-           Case{"unknown option", "COMPILE wibble=1\n" + valid_body},
-           Case{"unknown machine", "COMPILE machine=pdp11\n" + valid_body},
-           Case{"unknown mode", "COMPILE mode=warp\n" + valid_body},
-           Case{"negative window", "COMPILE window=-3\n" + valid_body},
-           Case{"unparseable window", "COMPILE window=banana\n" + valid_body},
-           Case{"jobs is not a protocol option",
-                "COMPILE mode=cfg jobs=100000\n" + valid_body},
-           Case{"empty program", "COMPILE mode=trace\n"},
-           Case{"garbage program", "COMPILE mode=trace\nLI LI LI\n"},
-           Case{"bad opcode", "COMPILE\nblock a:\n  QUUX r1, r2\n"},
-           Case{"huge register index",
-                "COMPILE\nblock a:\n  LI r99999999999999999999, 1\n"},
-       }) {
+  // The server reads no file for a client: file= is an unknown option, and
+  // nothing of the named file reaches the reply.
+  const std::string token = "secret" + std::to_string(::getpid()) + "token";
+  const std::string secret = ::testing::TempDir() + "/aisd_file_option_" +
+                             std::to_string(::getpid()) + ".s";
+  std::ofstream(secret) << token << " r1, r2\n";
+  std::vector<Case> cases = {
+      Case{"empty payload", ""},
+      Case{"unknown verb", "FROBNICATE\n"},
+      Case{"bad option token", "COMPILE modetrace\n" + valid_body},
+      Case{"unknown option", "COMPILE wibble=1\n" + valid_body},
+      Case{"unknown machine", "COMPILE machine=pdp11\n" + valid_body},
+      Case{"unknown mode", "COMPILE mode=warp\n" + valid_body},
+      Case{"negative window", "COMPILE window=-3\n" + valid_body},
+      Case{"unparseable window", "COMPILE window=banana\n" + valid_body},
+      Case{"jobs is not a protocol option",
+           "COMPILE mode=cfg jobs=100000\n" + valid_body},
+      Case{"empty program", "COMPILE mode=trace\n"},
+      Case{"garbage program", "COMPILE mode=trace\nLI LI LI\n"},
+      Case{"bad opcode", "COMPILE\nblock a:\n  QUUX r1, r2\n"},
+      Case{"huge register index",
+           "COMPILE\nblock a:\n  LI r99999999999999999999, 1\n"},
+      Case{"file option", "COMPILE file=" + secret + " mode=trace\n",
+           "unknown COMPILE option 'file'", token},
+  };
+  // Empty blocks used to abort the daemon (in Lookahead, the emitter or the
+  // loop-trace scheduler, depending on mode and block position).
+  for (const char* mode : {"trace", "loop", "cfg"}) {
+    for (const auto& [body, block] :
+         {std::pair<std::string, std::string>{"block A:\n", "A"},
+          {"block A:\n  ADD r1, r2, r3\nblock B:\n", "B"},
+          {"block A:\nblock B:\n  ADD r1, r2, r3\n", "A"}}) {
+      cases.push_back(
+          Case{"empty block " + block + ", mode " + mode,
+               "COMPILE mode=" + std::string(mode) + "\n" + body,
+               "bad IR: block " + block +
+                   ": a block must hold at least one instruction"});
+    }
+  }
+  for (const Case& c : cases) {
     ASSERT_TRUE(client.send_payload(c.payload, &error)) << c.name;
     server::Response resp;
     ASSERT_TRUE(client.receive(&resp, &error)) << c.name << ": " << error;
     EXPECT_FALSE(resp.ok) << c.name;
     EXPECT_FALSE(resp.message.empty()) << c.name;
+    if (!c.message.empty()) {
+      EXPECT_EQ(resp.message, c.message) << c.name;
+    }
+    if (!c.absent.empty()) {
+      EXPECT_EQ(resp.message.find(c.absent), std::string::npos) << c.name;
+      EXPECT_EQ(resp.asm_text.find(c.absent), std::string::npos) << c.name;
+    }
   }
+  std::remove(secret.c_str());
 
   // The connection survived every malformed request.
   server::Response resp;

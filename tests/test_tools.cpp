@@ -212,6 +212,37 @@ TEST(Aislint, RejectsStructurallyBrokenProgram) {
   std::string out;
   EXPECT_NE(run_tool(std::string(AISLINT_BINARY) + " --in " + in, &out), 0);
   EXPECT_NE(out.find("branch-position"), std::string::npos) << out;
+
+  // --verify cannot schedule a program with an empty block or a mid-block
+  // branch: it reports the program unverifiable and exits 1, in every mode,
+  // instead of aborting in the compile pipeline.
+  struct Case {
+    const char* name;
+    const char* text;
+    const char* message;
+  };
+  for (const Case& c : {
+           Case{"lone_empty_block", "block A:\n",
+                "block A: a block must hold at least one instruction"},
+           Case{"empty_last_block", "block A:\n  ADD r1, r2, r3\nblock B:\n",
+                "block B: a block must hold at least one instruction"},
+           Case{"empty_first_block", "block A:\nblock B:\n  ADD r1, r2, r3\n",
+                "block A: a block must hold at least one instruction"},
+           Case{"midblock_branch", text, "must be the final instruction"},
+       }) {
+    const std::string path = write_temp(std::string(c.name) + ".s", c.text);
+    for (const char* mode : {"trace", "loop", "cfg"}) {
+      const std::string tag = std::string(c.name) + " --mode " + mode;
+      const int status = run_tool(std::string(AISLINT_BINARY) + " --in " +
+                                      path + " --verify --mode " + mode,
+                                  &out);
+      ASSERT_TRUE(WIFEXITED(status)) << tag << ": killed by a signal";
+      EXPECT_EQ(WEXITSTATUS(status), 1) << tag;
+      EXPECT_NE(out.find("error[not-verified]"), std::string::npos)
+          << tag << "\n" << out;
+      EXPECT_NE(out.find(c.message), std::string::npos) << tag << "\n" << out;
+    }
+  }
 }
 
 /// Every input the compile pipeline rejects, and every argument outside
@@ -237,6 +268,12 @@ TEST(Aisc, BadInputsExitNonZeroWithoutAborting) {
        "aisc: window must be nonnegative, got -3\n"},
       {"positional_input", valid, "", "aisc: unexpected argument '", " "},
       {"unknown_flag", valid, " --windw 3", "aisc: unknown flag --windw\n"},
+      {"lone_empty_block", "block A:\n", "",
+       "aisc: bad IR: block A: a block must hold at least one instruction\n"},
+      {"empty_last_block", "block A:\n  ADD r1, r2, r3\nblock B:\n", "",
+       "aisc: bad IR: block B: a block must hold at least one instruction\n"},
+      {"empty_first_block", "block A:\nblock B:\n  ADD r1, r2, r3\n", "",
+       "aisc: bad IR: block A: a block must hold at least one instruction\n"},
   };
   for (const Case& c : cases) {
     const std::string in = write_temp(std::string(c.name) + ".s", c.text);
@@ -484,6 +521,27 @@ TEST(Aislint, RejectsCorruptedCompilation) {
   EXPECT_NE(out.find("dep-order"), std::string::npos) << out;
 }
 
+/// Starts aisd with `args` and its stderr redirected to `err_path`; returns
+/// its pid, or 0 (with a test failure recorded) when the spawn failed.
+pid_t spawn_aisd(const std::vector<std::string>& args,
+                 const std::string& err_path) {
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, err_path.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  std::vector<char*> argv = {const_cast<char*>(AISD_BINARY)};
+  for (const std::string& arg : args) {
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  argv.push_back(nullptr);
+  pid_t pid = 0;
+  const int spawned =
+      posix_spawn(&pid, AISD_BINARY, &actions, nullptr, argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  EXPECT_EQ(spawned, 0) << std::strerror(spawned);
+  return spawned == 0 ? pid : 0;
+}
+
 /// A flag outside aisd's list — here one of the deleted micro-batch knobs —
 /// is a usage error before anything binds: a script that still passes it
 /// learns so instead of silently getting different behaviour.
@@ -517,20 +575,10 @@ TEST(Aisd, SigtermDrainsAdmittedWorkAndWritesMetrics) {
   std::remove(socket.c_str());
   std::remove(metrics.c_str());
 
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, err_path.c_str(),
-                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  const char* argv[] = {AISD_BINARY, "--socket",      socket.c_str(),
-                        "--threads", "2",             "--cache",
-                        "false",     "--metrics-out", metrics.c_str(),
-                        nullptr};
-  pid_t pid = 0;
-  const int spawned =
-      posix_spawn(&pid, AISD_BINARY, &actions, nullptr,
-                  const_cast<char* const*>(argv), environ);
-  posix_spawn_file_actions_destroy(&actions);
-  ASSERT_EQ(spawned, 0) << std::strerror(spawned);
+  const pid_t pid = spawn_aisd({"--socket", socket, "--threads", "2",
+                                "--cache", "false", "--metrics-out", metrics},
+                               err_path);
+  ASSERT_NE(pid, 0);
 
   // The connect retries until aisd listens, which is after it blocked
   // SIGTERM.  Then a backlog of cold compiles (cache off) and a PING: the
@@ -585,6 +633,83 @@ TEST(Aisd, SigtermDrainsAdmittedWorkAndWritesMetrics) {
   EXPECT_NE(exposition.find("# TYPE server_request_us histogram"),
             std::string::npos)
       << exposition;
+}
+
+/// Bodies that used to abort a live daemon — an empty block in each
+/// position, a mid-block branch — get an ERR reply in every mode, as does
+/// the deleted file= option; afterwards aisd still answers PING and shuts
+/// down cleanly on SIGTERM.
+TEST(Aisd, MalformedBodiesGetErrorRepliesAndTheDaemonSurvives) {
+  const std::string dir = ::testing::TempDir();
+  const std::string tag = std::to_string(::getpid());
+  const std::string socket = dir + "/aisd_malformed_" + tag + ".sock";
+  const std::string err_path = dir + "/aisd_malformed_" + tag + ".err";
+  std::remove(socket.c_str());
+  const pid_t pid =
+      spawn_aisd({"--socket", socket, "--threads", "2"}, err_path);
+  ASSERT_NE(pid, 0);
+
+  struct Case {
+    std::string name;
+    std::string payload;
+    std::string message;
+  };
+  std::vector<Case> cases = {
+      {"file option", "COMPILE file=/dev/zero\n",
+       "unknown COMPILE option 'file'"},
+  };
+  for (const char* mode : {"trace", "loop", "cfg"}) {
+    for (const auto& [body, message] :
+         {std::pair<std::string, std::string>{
+              "block A:\n",
+              "bad IR: block A: a block must hold at least one instruction"},
+          {"block A:\n  ADD r1, r2, r3\nblock B:\n",
+           "bad IR: block B: a block must hold at least one instruction"},
+          {"block A:\nblock B:\n  ADD r1, r2, r3\n",
+           "bad IR: block A: a block must hold at least one instruction"},
+          {"block a:\n  ADD r1, r2, r3\n  B   a\n  ADD r4, r1, r1\n",
+           "bad IR: block a: branch 'B a' must be the final instruction of "
+           "its block"}}) {
+      cases.push_back({std::string(mode) + ": " + body,
+                       "COMPILE mode=" + std::string(mode) + "\n" + body,
+                       message});
+    }
+  }
+
+  // No ASSERT until aisd is reaped: a failed round trip must not leave the
+  // daemon running.
+  server::Client client;
+  client.set_connect_retry_ms(10'000);
+  std::string error;
+  bool connected = client.connect(socket, &error);
+  std::vector<std::string> replies;
+  for (const Case& c : cases) {
+    server::Response resp;
+    if (!connected || !client.send_payload(c.payload, &error) ||
+        !client.receive(&resp, &error)) {
+      break;
+    }
+    replies.push_back(resp.ok ? "OK" : "ERR " + resp.message);
+  }
+  server::Request ping;
+  ping.verb = server::kVerbPing;
+  server::Response pong;
+  const bool pinged = connected && client.call(ping, &pong, &error);
+  client.close();
+
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  const std::string err = slurp(err_path);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "killed by signal " << WTERMSIG(status) << "\n" << err;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << err;
+  ASSERT_EQ(replies.size(), cases.size()) << error << "\n" << err;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(replies[i], "ERR " + cases[i].message) << cases[i].name;
+  }
+  EXPECT_TRUE(pinged) << error;
+  EXPECT_TRUE(pong.ok) << pong.message;
 }
 
 }  // namespace

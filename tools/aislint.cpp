@@ -274,7 +274,13 @@ int main(int argc, char** argv) {
     Trace original{prog.blocks};
     if (do_rename) original = rename_trace(original);
 
-    if (!against.empty()) {
+    // The compile pipeline and the verifier's dependence re-derivation
+    // abort on an empty block or a mid-block branch, so such a program is
+    // reported unverifiable instead of scheduled.
+    const std::string structure_error = block_structure_error(prog);
+    if ((do_verify || !against.empty()) && !structure_error.empty()) {
+      report.error("not-verified", "cannot verify: " + structure_error);
+    } else if (!against.empty()) {
       const Program compiled = parse_program(read_file(against));
       verify::VerifyOptions vopts;
       vopts.window = window == 0 ? machine.default_window() : window;
