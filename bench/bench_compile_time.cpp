@@ -6,6 +6,7 @@
 // block / trace size grows.
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -385,5 +386,27 @@ void BM_LoopRepeatedBody_CacheWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LoopRepeatedBody_CacheWarm);
+
+/// The §5.2.3 single-block loop compile, shaped like perfbench's
+/// loop_bodies: 256 random-IR loops of 12 instructions on rs6000 at W = 2,
+/// each through schedule(const Loop&) — dependence build, every surrogate
+/// candidate, one steady-state simulation per distinct order.  Time is per
+/// pass over all 256 loops; items/s counts loops.
+void BM_LoopSearch(benchmark::State& state) {
+  Prng prng(0x1005);
+  RandomIrParams ir;
+  ir.num_insts = 12;
+  std::vector<Loop> loops;
+  for (int i = 0; i < 256; ++i) loops.push_back(random_ir_loop(prng, ir));
+  const MachineModel machine = rs6000_like();
+  for (auto _ : state) {
+    for (const Loop& loop : loops) {
+      benchmark::DoNotOptimize(schedule(loop, machine, /*window=*/2));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(loops.size()));
+}
+BENCHMARK(BM_LoopSearch)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -177,20 +177,36 @@ LoopCandidate schedule_single_block_loop(
   std::vector<LoopCandidate> candidates =
       loop_single_candidates(g, machine, opts);
 
+  // Different pivots often settle on the same order, and a score depends
+  // only on the order, so each distinct order is evaluated once.  `firsts`
+  // holds the index of each distinct order's first candidate; a duplicate
+  // takes that candidate's score but still competes with its own makespan
+  // and index.
+  std::vector<std::size_t> firsts;
   std::size_t best = 0;
   double best_score = std::numeric_limits<double>::infinity();
   Time best_makespan = std::numeric_limits<Time>::max();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double score = evaluate(candidates[i].order);
-    if (score < best_score ||
-        (score == best_score &&
-         candidates[i].surrogate_makespan < best_makespan)) {
+    LoopCandidate& cand = candidates[i];
+    const auto first =
+        std::find_if(firsts.begin(), firsts.end(), [&](std::size_t j) {
+          return candidates[j].order == cand.order;
+        });
+    if (first == firsts.end()) {
+      cand.score = evaluate(cand.order);
+      firsts.push_back(i);
+    } else {
+      cand.score = candidates[*first].score;
+    }
+    if (cand.score < best_score ||
+        (cand.score == best_score &&
+         cand.surrogate_makespan < best_makespan)) {
       best = i;
-      best_score = score;
-      best_makespan = candidates[i].surrogate_makespan;
+      best_score = cand.score;
+      best_makespan = cand.surrogate_makespan;
     }
   }
-  return candidates[best];
+  return std::move(candidates[best]);
 }
 
 }  // namespace ais

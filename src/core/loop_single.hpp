@@ -41,6 +41,9 @@ struct LoopCandidate {
   /// Makespan of the surrogate acyclic schedule (diagnostic; the relative
   /// completion-time objective the construction minimizes).
   Time surrogate_makespan = 0;
+  /// Evaluator score of `order`; set by schedule_single_block_loop (0 on
+  /// the candidates loop_single_candidates returns).
+  double score = 0;
 };
 
 struct LoopSingleOptions {
@@ -66,7 +69,13 @@ std::vector<LoopCandidate> loop_single_candidates(
 
 /// Runs §5.2.3: enumerate candidates and keep the one with the smallest
 /// evaluator score (e.g. simulated steady-state cycles per iteration);
-/// surrogate makespan breaks ties.
+/// among equal scores the smaller surrogate makespan wins, then the earlier
+/// candidate.  The winner comes back with its score filled in.
+///
+/// Evaluator contract: `evaluate` is called once per distinct order, in
+/// the order in which each distinct order first occurs among the
+/// candidates; a later candidate whose order is identical reuses that first
+/// score.  So the score must depend only on the order.
 LoopCandidate schedule_single_block_loop(
     const DepGraph& g, const MachineModel& machine,
     const std::function<double(const std::vector<NodeId>&)>& evaluate,

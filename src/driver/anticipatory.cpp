@@ -110,33 +110,30 @@ ScheduledLoop schedule(const Loop& loop, const MachineModel& machine,
   }();
 
   std::vector<std::vector<NodeId>> per_block;
-  std::vector<NodeId> iteration_list;
+  double cycles_per_iteration = 0;
   if (loop.body.blocks.size() == 1) {
     const auto evaluator = [&](const std::vector<NodeId>& order) {
       return steady_state_period(g, machine, order, w);
     };
-    LoopSingleOptions opts;
-    const LoopCandidate best =
-        schedule_single_block_loop(g, machine, evaluator, opts);
-    per_block.push_back(best.order);
-    iteration_list = best.order;
+    LoopCandidate best = schedule_single_block_loop(g, machine, evaluator);
+    // The search already simulated the winner: its score is the period.
+    cycles_per_iteration = best.score;
+    per_block.push_back(std::move(best.order));
   } else {
     LookaheadOptions opts;
     opts.window = w;
     const LookaheadResult res = schedule_loop_trace(g, machine, opts);
     per_block = res.per_block;
-    iteration_list = res.priority_list();
+    cycles_per_iteration =
+        steady_state_period(g, machine, res.priority_list(), w);
   }
 
-  ScheduledLoop out{
+  return ScheduledLoop{
       .blocks = reorder_blocks(loop.body, per_block),
       .graph = std::move(g),
-      .cycles_per_iteration = 0,
+      .cycles_per_iteration = cycles_per_iteration,
       .window = w,
   };
-  out.cycles_per_iteration =
-      steady_state_period(out.graph, machine, iteration_list, w);
-  return out;
 }
 
 }  // namespace ais

@@ -33,6 +33,23 @@ LoopSimResult simulate_loop(const DepGraph& g, const MachineModel& machine,
   }
   std::vector<Time> unit_free(static_cast<std::size_t>(total_units), 0);
 
+  // Per-list-position operand tables, built once per call: the per-cycle
+  // window scans below read these instead of assembling a NodeInfo and
+  // calling the out-of-line fu_count for every instance they visit.
+  struct OpInfo {
+    int exec_time;
+    int first_unit;
+    int units;
+  };
+  std::vector<OpInfo> ops(body);
+  for (std::size_t p = 0; p < body; ++p) {
+    const NodeInfo info = g.node(per_iteration_list[p]);
+    const int units = machine.fu_count(info.fu_class);
+    ops[p] = {info.exec_time,
+              unit_base[static_cast<std::size_t>(info.fu_class)], units};
+  }
+  const int issue_width = machine.issue_width();
+
   std::vector<Time> issue(total, Time{-1});
   std::size_t head = 0;
   std::size_t remaining = total;
@@ -78,30 +95,29 @@ LoopSimResult simulate_loop(const DepGraph& g, const MachineModel& machine,
     int issued_this_cycle = 0;
     for (std::size_t q = head;
          q < std::min(total, head + static_cast<std::size_t>(window)) &&
-         issued_this_cycle < machine.issue_width();
+         issued_this_cycle < issue_width;
          ++q) {
       if (issue[q] >= 0) continue;
       if (deps_left[q] != 0 || ready[q] > t) continue;
-      const NodeId id = per_iteration_list[q % body];
-      const NodeInfo& info = g.node(id);
-      const int base = unit_base[static_cast<std::size_t>(info.fu_class)];
+      const std::size_t p = q % body;
+      const OpInfo& op = ops[p];
       int chosen = -1;
-      for (int k = 0; k < machine.fu_count(info.fu_class); ++k) {
-        if (unit_free[static_cast<std::size_t>(base + k)] <= t) {
-          chosen = base + k;
+      for (int u = op.first_unit; u < op.first_unit + op.units; ++u) {
+        if (unit_free[static_cast<std::size_t>(u)] <= t) {
+          chosen = u;
           break;
         }
       }
       if (chosen < 0) continue;
       issue[q] = t;
-      unit_free[static_cast<std::size_t>(chosen)] = t + info.exec_time;
+      const Time done = t + op.exec_time;
+      unit_free[static_cast<std::size_t>(chosen)] = done;
       --remaining;
       ++issued_this_cycle;
       while (head < total && issue[head] >= 0) ++head;
       // Resolve the out-edges of the freshly issued instance.
       const int iter = static_cast<int>(q / body);
-      const Time done = t + info.exec_time;
-      for (const auto eidx : g.out_edges(id)) {
+      for (const auto eidx : g.out_edges(per_iteration_list[p])) {
         const DepEdge& e = g.edge(eidx);
         const int dst_iter = iter + e.distance;
         if (dst_iter >= iterations) continue;
@@ -124,12 +140,10 @@ LoopSimResult simulate_loop(const DepGraph& g, const MachineModel& machine,
         std::min(total, head + static_cast<std::size_t>(window));
     for (std::size_t q = head; q < limit && remaining > 0; ++q) {
       if (issue[q] >= 0 || deps_left[q] != 0) continue;
-      const NodeInfo& info = g.node(per_iteration_list[q % body]);
-      const int base = unit_base[static_cast<std::size_t>(info.fu_class)];
+      const OpInfo& op = ops[q % body];
       Time unit_t = t_limit + 1;
-      for (int k = 0; k < machine.fu_count(info.fu_class); ++k) {
-        unit_t =
-            std::min(unit_t, unit_free[static_cast<std::size_t>(base + k)]);
+      for (int u = op.first_unit; u < op.first_unit + op.units; ++u) {
+        unit_t = std::min(unit_t, unit_free[static_cast<std::size_t>(u)]);
       }
       // t + 1 floor: this cycle's issue opportunities are already spent.
       next_t = std::min(next_t, std::max({ready[q], t + 1, unit_t}));
@@ -140,8 +154,7 @@ LoopSimResult simulate_loop(const DepGraph& g, const MachineModel& machine,
   LoopSimResult result;
   result.iteration_finish.assign(static_cast<std::size_t>(iterations), 0);
   for (std::size_t q = 0; q < total; ++q) {
-    const Time finish =
-        issue[q] + g.node(per_iteration_list[q % body]).exec_time;
+    const Time finish = issue[q] + ops[q % body].exec_time;
     auto& slot = result.iteration_finish[q / body];
     slot = std::max(slot, finish);
     result.completion = std::max(result.completion, finish);

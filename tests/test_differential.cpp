@@ -1,4 +1,5 @@
-// Differential properties for the optimized Rank/Merge/Move_Idle hot path.
+// Differential properties for the optimized Rank/Merge/Move_Idle hot path
+// and the memoized §5.2.3 loop candidate search.
 //
 // The session-cached scheduler (closure reuse, incremental reranks, the
 // persistent by-rank ordering, the packed-key sort, the ready-queue greedy
@@ -9,6 +10,8 @@
 // randomized instances and compares schedules, ranks, deadlines and relax
 // amounts exactly — not approximately.
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -21,15 +24,18 @@
 #include "core/chop.hpp"
 #include "core/deadlines.hpp"
 #include "core/lookahead.hpp"
+#include "core/loop_single.hpp"
 #include "core/merge.hpp"
 #include "core/move_idle.hpp"
 #include "core/rank.hpp"
 #include "core/schedule_cache.hpp"
+#include "driver/anticipatory.hpp"
 #include "graph/closure.hpp"
 #include "graph/topo.hpp"
 #include "ir/depbuild.hpp"
 #include "machine/machine_model.hpp"
 #include "obs/obs.hpp"
+#include "sim/loop_sim.hpp"
 #include "support/assert.hpp"
 #include "support/prng.hpp"
 #include "support/thread_pool.hpp"
@@ -1413,6 +1419,137 @@ TEST(Differential, CacheOnMatchesCacheOffParallel) {
     expect_same_lookahead(got[i], want[i], "trace " + std::to_string(i));
   }
   cache.set_enabled(was_enabled);
+}
+
+// ---------------------------------------------------------------------------
+// The §5.2.3 loop candidate search: one evaluation per distinct order.
+// ---------------------------------------------------------------------------
+
+/// The search's selection verbatim from before memoization: every
+/// candidate is evaluated, in index order.  Returns the winner with the
+/// score it won with.
+LoopCandidate ref_select_loop_candidate(
+    const std::vector<LoopCandidate>& candidates,
+    const std::function<double(const std::vector<NodeId>&)>& evaluate) {
+  std::size_t best = 0;
+  double best_score = std::numeric_limits<double>::infinity();
+  Time best_makespan = std::numeric_limits<Time>::max();
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const double score = evaluate(candidates[i].order);
+    if (score < best_score ||
+        (score == best_score &&
+         candidates[i].surrogate_makespan < best_makespan)) {
+      best = i;
+      best_score = score;
+      best_makespan = candidates[i].surrogate_makespan;
+    }
+  }
+  LoopCandidate winner = candidates[best];
+  winner.score = best_score;
+  return winner;
+}
+
+/// The memoized search must pick exactly what evaluating every candidate
+/// picks — same pivot, form, order, surrogate makespan and score — on
+/// random IR loops over all four presets and several windows, while its
+/// evaluator runs once per distinct order, in first-occurrence order.  The
+/// driver's reported period must equal a fresh simulation of the emitted
+/// order.  The inputs are checked to contain both tie-break hazards of the
+/// memo: two candidates with one order but different surrogate makespans
+/// (the duplicate reuses a score yet must compete with its own makespan),
+/// and a best score shared by candidates that the makespan tells apart.
+TEST(Differential, LoopSearchMatchesVerbatimReference) {
+  struct Preset {
+    const char* name;
+    MachineModel machine;
+  };
+  const std::vector<Preset> presets = {
+      {"scalar01", scalar01()},
+      {"rs6000", rs6000_like()},
+      {"deep", deep_pipeline()},
+      {"vliw4", vliw4()},
+  };
+  int duplicate_makespans = 0;
+  int makespan_ties = 0;
+  for (std::size_t m = 0; m < presets.size(); ++m) {
+    const Preset& preset = presets[m];
+    const MachineModel& machine = preset.machine;
+    Prng prng(0x5e4c4 + m * 131);
+    for (int trial = 0; trial < 24; ++trial) {
+      RandomIrParams params;
+      params.num_insts = static_cast<int>(prng.uniform(4, 24));
+      params.num_gprs = std::array{3, 6, 12}[trial % 3];
+      const Loop loop = random_ir_loop(prng, params);
+      const DepGraph g = build_loop_graph(loop, machine);
+      const std::vector<LoopCandidate> candidates =
+          loop_single_candidates(g, machine);
+
+      std::vector<std::vector<NodeId>> distinct;
+      bool duplicate_makespan = false;
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        if (std::find(distinct.begin(), distinct.end(),
+                      candidates[i].order) == distinct.end()) {
+          distinct.push_back(candidates[i].order);
+        }
+        for (std::size_t j = 0; j < i; ++j) {
+          duplicate_makespan |=
+              candidates[j].order == candidates[i].order &&
+              candidates[j].surrogate_makespan !=
+                  candidates[i].surrogate_makespan;
+        }
+      }
+      duplicate_makespans += duplicate_makespan;
+
+      bool makespan_tie = false;
+      for (const int window : {1, 2, 4, 8}) {
+        const std::string what = std::string(preset.name) + " trial " +
+                                 std::to_string(trial) + " W=" +
+                                 std::to_string(window);
+        const auto period = [&](const std::vector<NodeId>& order) {
+          return steady_state_period(g, machine, order, window);
+        };
+        std::vector<std::vector<NodeId>> asked;
+        std::vector<double> scores;
+        const LoopCandidate got = schedule_single_block_loop(
+            g, machine, [&](const std::vector<NodeId>& order) {
+              asked.push_back(order);
+              scores.push_back(period(order));
+              return scores.back();
+            });
+        const LoopCandidate want =
+            ref_select_loop_candidate(candidates, period);
+        EXPECT_EQ(got.pivot, want.pivot) << what;
+        EXPECT_EQ(got.source_form, want.source_form) << what;
+        EXPECT_EQ(got.order, want.order) << what;
+        EXPECT_EQ(got.surrogate_makespan, want.surrogate_makespan) << what;
+        EXPECT_EQ(got.score, want.score) << what;
+        ASSERT_EQ(asked, distinct) << what;
+
+        for (const LoopCandidate& c : candidates) {
+          const auto d = std::find(distinct.begin(), distinct.end(), c.order);
+          makespan_tie |=
+              scores[static_cast<std::size_t>(d - distinct.begin())] ==
+                  want.score &&
+              c.surrogate_makespan != want.surrogate_makespan;
+        }
+
+        const ScheduledLoop s = schedule(loop, machine, window);
+        ASSERT_EQ(s.blocks.size(), 1u) << what;
+        ASSERT_EQ(s.blocks[0].insts.size(), got.order.size()) << what;
+        for (std::size_t k = 0; k < got.order.size(); ++k) {
+          EXPECT_EQ(s.blocks[0].insts[k].to_string(),
+                    loop.body.blocks[0].insts[got.order[k]].to_string())
+              << what << " position " << k;
+        }
+        EXPECT_EQ(s.cycles_per_iteration,
+                  steady_state_period(s.graph, machine, got.order, window))
+            << what;
+      }
+      makespan_ties += makespan_tie;
+    }
+  }
+  EXPECT_GT(duplicate_makespans, 0);
+  EXPECT_GT(makespan_ties, 0);
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 // Tests for the lookahead machine simulator: golden executions from the
 // paper, and the structural invariants the model implies.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "baselines/block_schedulers.hpp"
+#include "core/loop_single.hpp"
 #include "core/rank.hpp"
+#include "ir/depbuild.hpp"
 #include "machine/machine_model.hpp"
 #include "sim/lookahead_sim.hpp"
 #include "sim/loop_sim.hpp"
 #include "workloads/paper_graphs.hpp"
 #include "workloads/random_graphs.hpp"
+#include "workloads/random_ir.hpp"
 
 namespace ais {
 namespace {
@@ -192,6 +197,45 @@ DepGraph unroll_loop(const DepGraph& g, int iterations) {
   return u;
 }
 
+/// simulate_loop of `list` against the unrolled oracle, exactly: whole-run
+/// completion and every iteration's finish time, over a spread of windows
+/// and iteration counts.
+void expect_matches_unrolled(const DepGraph& g, const MachineModel& machine,
+                             const std::vector<NodeId>& list,
+                             const std::string& what) {
+  for (const int window : {1, 2, 4}) {
+    for (const int iterations : {1, 3, 7}) {
+      const LoopSimResult got =
+          simulate_loop(g, machine, list, window, iterations);
+
+      const DepGraph u = unroll_loop(g, iterations);
+      std::vector<NodeId> unrolled_list;
+      for (int k = 0; k < iterations; ++k) {
+        for (const NodeId id : list) {
+          unrolled_list.push_back(static_cast<NodeId>(k) * g.num_nodes() +
+                                  id);
+        }
+      }
+      const SimResult want = simulate_list(u, machine, unrolled_list, window);
+
+      EXPECT_EQ(got.completion, want.completion)
+          << what << " W=" << window << " n=" << iterations;
+      ASSERT_EQ(got.iteration_finish.size(),
+                static_cast<std::size_t>(iterations));
+      for (int k = 0; k < iterations; ++k) {
+        Time finish = 0;
+        for (NodeId id = 0; id < g.num_nodes(); ++id) {
+          const NodeId q = static_cast<NodeId>(k) * g.num_nodes() + id;
+          finish =
+              std::max(finish, want.issue_time[q] + u.node(q).exec_time);
+        }
+        EXPECT_EQ(got.iteration_finish[static_cast<std::size_t>(k)], finish)
+            << what << " W=" << window << " iteration " << k;
+      }
+    }
+  }
+}
+
 TEST(LoopSim, MatchesUnrolledBruteForce) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Prng prng(0x10095 + seed * 401);
@@ -203,40 +247,55 @@ TEST(LoopSim, MatchesUnrolledBruteForce) {
     const DepGraph g = random_loop(prng, params);
     std::vector<NodeId> list;
     for (NodeId id = 0; id < g.num_nodes(); ++id) list.push_back(id);
+    expect_matches_unrolled(g, scalar01(), list,
+                            "seed " + std::to_string(seed));
+  }
 
-    for (const int window : {1, 2, 4}) {
-      for (const int iterations : {1, 3, 7}) {
-        const LoopSimResult got =
-            simulate_loop(g, scalar01(), list, window, iterations);
-
-        const DepGraph u = unroll_loop(g, iterations);
-        std::vector<NodeId> unrolled_list;
-        for (int k = 0; k < iterations; ++k) {
-          for (const NodeId id : list) {
-            unrolled_list.push_back(
-                static_cast<NodeId>(k) * g.num_nodes() + id);
-          }
+  // IR-built loops on the typed and multi-cycle presets, in the permuted
+  // orders the §5.2.3 search simulates.  vliw4 has a two-unit class, and
+  // deep and vliw4 execute divides for 4 cycles (every other multiply is
+  // turned into one), so reading a node's exec time or units at its list
+  // position, or the reverse, changes issue times here.
+  int permuted_orders = 0;
+  int multi_cycle_orders = 0;
+  Prng prng(0x10096);
+  for (const MachineModel& machine :
+       {rs6000_like(), deep_pipeline(), vliw4()}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      RandomIrParams params;
+      params.num_insts = static_cast<int>(prng.uniform(5, 10));
+      params.num_gprs = 4;
+      Loop loop = random_ir_loop(prng, params);
+      bool flip = true;
+      for (Instruction& inst : loop.body.blocks[0].insts) {
+        if (inst.op != Opcode::kMul && inst.op != Opcode::kFMul) continue;
+        if (flip) {
+          inst.op = inst.op == Opcode::kMul ? Opcode::kDiv : Opcode::kFDiv;
         }
-        const SimResult want =
-            simulate_list(u, scalar01(), unrolled_list, window);
+        flip = !flip;
+      }
+      const DepGraph g = build_loop_graph(loop, machine);
 
-        EXPECT_EQ(got.completion, want.completion)
-            << "seed " << seed << " W=" << window << " n=" << iterations;
-        ASSERT_EQ(got.iteration_finish.size(),
-                  static_cast<std::size_t>(iterations));
-        for (int k = 0; k < iterations; ++k) {
-          Time finish = 0;
-          for (NodeId id = 0; id < g.num_nodes(); ++id) {
-            const NodeId q = static_cast<NodeId>(k) * g.num_nodes() + id;
-            finish = std::max(finish,
-                              want.issue_time[q] + u.node(q).exec_time);
-          }
-          EXPECT_EQ(got.iteration_finish[static_cast<std::size_t>(k)], finish)
-              << "seed " << seed << " W=" << window << " iteration " << k;
+      std::vector<std::vector<NodeId>> orders;
+      for (const LoopCandidate& c : loop_single_candidates(g, machine)) {
+        if (std::is_sorted(c.order.begin(), c.order.end())) continue;
+        if (std::find(orders.begin(), orders.end(), c.order) != orders.end()) {
+          continue;
         }
+        orders.push_back(c.order);
+      }
+      orders.resize(std::min<std::size_t>(orders.size(), 3));
+      for (const std::vector<NodeId>& order : orders) {
+        expect_matches_unrolled(
+            g, machine, order,
+            machine.name() + " trial " + std::to_string(trial));
+        ++permuted_orders;
+        multi_cycle_orders += g.max_exec_time() > 1;
       }
     }
   }
+  EXPECT_GT(permuted_orders, 0);
+  EXPECT_GT(multi_cycle_orders, 0);
 }
 
 TEST(LoopSim, SteadyStatePeriodMatchesUnrolledSlope) {

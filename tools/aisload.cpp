@@ -15,10 +15,11 @@
 //
 // A second client class turns one run into a mixed-tenant contention
 // experiment — per-class percentiles come back separately (the QoS gate in
-// bench/bench_server.cpp is the same experiment in-process):
+// bench/bench_server.cpp is the same experiment in-process).  One command,
+// wrapped over three lines:
 //
-//   aisload --socket /tmp/aisd.sock --clients 2 --tenant web \
-//           --priority interactive --requests 2000 \
+//   aisload --socket /tmp/aisd.sock --clients 2 --tenant web
+//           --priority interactive --requests 2000
 //           --clients2 16 --tenant2 batch --priority2 bulk --requests2 8000
 //
 // Flags:
