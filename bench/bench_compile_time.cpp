@@ -3,7 +3,8 @@
 // The paper defers empirical evaluation; §4.1 argues the deadline-relaxation
 // loop does not change the asymptotic cost.  This bench measures wall time
 // of the Rank Algorithm, Delay_Idle_Slots and full Algorithm Lookahead as
-// block / trace size grows.
+// block / trace size grows, and the IR front end (parse, dependence build)
+// and a whole warm request around them.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "ir/asm_parser.hpp"
 #include "ir/depbuild.hpp"
 #include "machine/machine_model.hpp"
+#include "server/compile_service.hpp"
 #include "sim/lookahead_sim.hpp"
 #include "workloads/random_graphs.hpp"
 #include "workloads/random_ir.hpp"
@@ -408,5 +410,97 @@ void BM_LoopSearch(benchmark::State& state) {
                           static_cast<std::int64_t>(loops.size()));
 }
 BENCHMARK(BM_LoopSearch)->Unit(benchmark::kMillisecond);
+
+// --- IR front end ---------------------------------------------------------
+
+/// perfbench warm_daemon's request bodies: 256 random-IR traces of 4
+/// blocks x 12 instructions, rendered as a client sends them.
+std::vector<std::string> warm_bodies() {
+  Prng prng(1);
+  RandomIrParams ir;
+  ir.num_insts = 12;
+  std::vector<std::string> bodies;
+  for (int i = 0; i < 256; ++i) {
+    const Trace trace = random_ir_trace(prng, ir, /*num_blocks=*/4);
+    std::string text;
+    for (const BasicBlock& bb : trace.blocks) {
+      text += "block " + bb.label + ":\n";
+      for (const Instruction& inst : bb.insts) {
+        text += "  " + inst.to_string() + "\n";
+      }
+    }
+    bodies.push_back(std::move(text));
+  }
+  return bodies;
+}
+
+/// parse_program_or_error over the warm_daemon bodies.  Time is per pass
+/// over all 256; items/s counts bodies.
+void BM_Parse(benchmark::State& state) {
+  const std::vector<std::string> bodies = warm_bodies();
+  std::string error;
+  for (auto _ : state) {
+    for (const std::string& body : bodies) {
+      benchmark::DoNotOptimize(parse_program_or_error(body, &error));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bodies.size()));
+}
+BENCHMARK(BM_Parse)->Unit(benchmark::kMicrosecond);
+
+/// The dependence builder on rs6000 over the warm_daemon traces
+/// (build_trace_graph), or over each of their bodies taken as a loop
+/// (build_loop_graph: the doubled scan and its carried edges).  Time is
+/// per pass over all 256; items/s counts graphs.
+void BM_DepBuild(benchmark::State& state, bool loop) {
+  std::vector<Loop> inputs;
+  for (const std::string& body : warm_bodies()) {
+    inputs.push_back(Loop{Trace{parse_program(body).blocks}});
+  }
+  const MachineModel machine = rs6000_like();
+  for (auto _ : state) {
+    for (const Loop& input : inputs) {
+      if (loop) {
+        benchmark::DoNotOptimize(build_loop_graph(input, machine));
+      } else {
+        benchmark::DoNotOptimize(build_trace_graph(input.body, machine));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(inputs.size()));
+}
+BENCHMARK_CAPTURE(BM_DepBuild, trace, false)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_DepBuild, loop, true)->Unit(benchmark::kMicrosecond);
+
+/// One warm aisd request in-process: compile_ir (parse, dependence build,
+/// a trace-level schedule cache hit, emit, and the report's two
+/// simulations) on the warm_daemon bodies — rs6000, W = 2, report=1 —
+/// with the cache primed by a first pass.  Time is per pass over all 256;
+/// items/s counts requests.
+void BM_WarmRequest(benchmark::State& state) {
+  const std::vector<std::string> bodies = warm_bodies();
+  server::CompileOptions options;
+  options.machine = "rs6000";
+  options.window = 2;
+  options.report = true;
+  server::WorkerScratch scratch;
+  server::Response reply;
+  ScheduleCache::global().set_enabled(true);
+  ScheduleCache::global().clear();
+  for (const std::string& body : bodies) {
+    server::compile_ir(body, options, scratch, &reply);
+  }
+  for (auto _ : state) {
+    for (const std::string& body : bodies) {
+      server::compile_ir(body, options, scratch, &reply);
+      benchmark::DoNotOptimize(reply);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bodies.size()));
+}
+BENCHMARK(BM_WarmRequest)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -64,19 +64,20 @@ void DepGraph::index_insert(std::uint32_t slot_count, NodeId id) {
   index_slots_[slot] = id;
 }
 
-void DepGraph::index_grow() {
-  const auto new_count =
-      static_cast<std::uint32_t>(index_slots_.empty() ? 16
-                                                      : 2 * index_slots_.size());
+void DepGraph::index_grow(std::size_t names) {
+  std::size_t new_count = index_slots_.empty() ? 16 : 2 * index_slots_.size();
+  while (new_count < 2 * names) new_count *= 2;
   std::vector<NodeId> old = std::move(index_slots_);
   index_slots_.assign(new_count, kInvalidNode);
   for (const NodeId id : old) {
-    if (id != kInvalidNode) index_insert(new_count, id);
+    if (id != kInvalidNode) {
+      index_insert(static_cast<std::uint32_t>(new_count), id);
+    }
   }
 }
 
 NameRef DepGraph::intern(std::string_view name, NodeId id) {
-  if (2 * (index_used_ + 1) > index_slots_.size()) index_grow();
+  if (2 * (index_used_ + 1) > index_slots_.size()) index_grow(index_used_ + 1);
   const std::uint64_t mask = index_slots_.size() - 1;
   std::uint64_t slot = std::hash<std::string_view>{}(name) & mask;
   while (index_slots_[slot] != kInvalidNode) {
@@ -130,6 +131,7 @@ void DepGraph::reserve(std::size_t nodes, std::size_t edges) {
   names_.reserve(nodes);
   out_.reserve(nodes);
   in_.reserve(nodes);
+  if (2 * nodes > index_slots_.size()) index_grow(nodes);
   if (edges > 0) edges_.reserve(edges);
 }
 

@@ -117,8 +117,8 @@ class DepGraph {
   /// Adds a dependence edge.  Self-edges are only meaningful when carried.
   void add_edge(NodeId from, NodeId to, int latency, int distance = 0);
 
-  /// Pre-sizes the node columns (and edge list, when `edges` is given) so
-  /// bulk builders grow without reallocation.
+  /// Pre-sizes the node columns, the name index (and edge list, when
+  /// `edges` is given) so bulk builders grow without reallocation.
   void reserve(std::size_t nodes, std::size_t edges = 0);
 
   std::size_t num_nodes() const { return exec_time_.size(); }
@@ -191,7 +191,9 @@ class DepGraph {
   /// the same name) and records `id` in the hash index when the name is new.
   NameRef intern(std::string_view name, NodeId id);
   void index_insert(std::uint32_t slot_count, NodeId id);
-  void index_grow();
+  /// Rehashes into at least double the slots, and enough to hold `names`
+  /// names at most half full.
+  void index_grow(std::size_t names);
 
   // Per-node columns (SoA): dense, indexed by NodeId.
   std::vector<std::int32_t> exec_time_;

@@ -1,57 +1,57 @@
 #include "ir/asm_parser.hpp"
 
-#include <cctype>
-#include <exception>
-#include <map>
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <optional>
+#include <string_view>
+#include <utility>
 
 #include "support/assert.hpp"
-#include "support/str.hpp"
 
 namespace ais {
 namespace {
 
-const std::map<std::string, Opcode>& opcode_table() {
-  static const std::map<std::string, Opcode> table = {
-      {"LI", Opcode::kLi},     {"MOV", Opcode::kMov},
-      {"ADD", Opcode::kAdd},   {"SUB", Opcode::kSub},
-      {"AND", Opcode::kAnd},   {"OR", Opcode::kOr},
-      {"XOR", Opcode::kXor},   {"SHL", Opcode::kShl},
-      {"SHR", Opcode::kShr},   {"MUL", Opcode::kMul},
-      {"DIV", Opcode::kDiv},   {"LD", Opcode::kLoad},
-      {"LDU", Opcode::kLoadU}, {"ST", Opcode::kStore},
-      {"STU", Opcode::kStoreU},{"FADD", Opcode::kFAdd},
-      {"FMUL", Opcode::kFMul}, {"FDIV", Opcode::kFDiv},
-      {"FMA", Opcode::kFMa},   {"CMP", Opcode::kCmp},
-      {"BT", Opcode::kBt},     {"BF", Opcode::kBf},
-      {"B", Opcode::kB},       {"NOP", Opcode::kNop},
-  };
-  return table;
-}
-
-struct Operand {
-  enum Kind { kReg, kImm, kMem, kLabel } kind;
-  Reg reg{};
-  MemRef mem{};
-  std::string label;
-  std::int64_t imm = 0;
+constexpr std::pair<std::string_view, Opcode> kOpcodes[] = {
+    {"LI", Opcode::kLi},     {"MOV", Opcode::kMov},   {"ADD", Opcode::kAdd},
+    {"SUB", Opcode::kSub},   {"AND", Opcode::kAnd},   {"OR", Opcode::kOr},
+    {"XOR", Opcode::kXor},   {"SHL", Opcode::kShl},   {"SHR", Opcode::kShr},
+    {"MUL", Opcode::kMul},   {"DIV", Opcode::kDiv},   {"LD", Opcode::kLoad},
+    {"LDU", Opcode::kLoadU}, {"ST", Opcode::kStore},  {"STU", Opcode::kStoreU},
+    {"FADD", Opcode::kFAdd}, {"FMUL", Opcode::kFMul}, {"FDIV", Opcode::kFDiv},
+    {"FMA", Opcode::kFMa},   {"CMP", Opcode::kCmp},   {"BT", Opcode::kBt},
+    {"BF", Opcode::kBf},     {"B", Opcode::kB},       {"NOP", Opcode::kNop},
 };
 
-/// Thrown instead of panicking while a parse_program_or_error call is on
-/// the stack (daemon requests must not abort the process).
-struct ParseError {
-  std::string message;
-};
-thread_local bool g_recoverable = false;
-
-[[noreturn]] void fail(int line_no, const std::string& why) {
-  if (g_recoverable) {
-    throw ParseError{"line " + std::to_string(line_no) + ": " + why};
+/// `mnemonic` is non-empty: the first word of a trimmed, non-empty line.
+std::optional<Opcode> find_opcode(std::string_view mnemonic) {
+  for (const auto& [name, op] : kOpcodes) {
+    if (name[0] == mnemonic[0] && name == mnemonic) return op;
   }
-  panic("asm", line_no, "parse error: " + why);
+  return std::nullopt;
 }
 
-std::optional<Reg> try_reg(const std::string& tok) {
+// The C locale's isspace and isdigit.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
+  return s;
+}
+
+bool all_digits(std::string_view s) {
+  if (s.empty()) return false;
+  for (const char c : s) {
+    if (!is_digit(c)) return false;
+  }
+  return true;
+}
+
+/// rN, fN or cN with N <= 255.  A larger N makes the token a label, as
+/// `B r300` has always read.
+std::optional<Reg> try_reg(std::string_view tok) {
   if (tok.size() < 2) return std::nullopt;
   RegClass cls;
   switch (tok[0]) {
@@ -60,95 +60,116 @@ std::optional<Reg> try_reg(const std::string& tok) {
     case 'c': cls = RegClass::kCr; break;
     default: return std::nullopt;
   }
-  for (std::size_t i = 1; i < tok.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(tok[i]))) return std::nullopt;
-  }
-  const int idx = std::stoi(tok.substr(1));
-  if (idx < 0 || idx > 255) return std::nullopt;
+  const std::string_view digits = tok.substr(1);
+  if (!all_digits(digits)) return std::nullopt;
+  unsigned idx = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), idx);
+  if (ec != std::errc() || idx > 255) return std::nullopt;
   return Reg{cls, static_cast<std::uint8_t>(idx)};
 }
 
-bool is_imm(const std::string& tok) {
-  if (tok.empty()) return false;
-  std::size_t i = (tok[0] == '-') ? 1 : 0;
-  if (i == tok.size()) return false;
-  for (; i < tok.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(tok[i]))) return false;
+struct Operand {
+  enum Kind { kReg, kImm, kMem, kLabel };
+  Kind kind = kLabel;
+  Reg reg{};               // kReg, and the base register of kMem
+  std::int64_t value = 0;  // kImm, and the offset of kMem
+  std::string_view text;   // kLabel's label, kMem's tag
+};
+
+/// A line's diagnosis.  `error` is the first failure in the order the
+/// grammar has always reported; `strict` is the first violation of the
+/// rules that reject input once read leniently (a malformed number, an
+/// extra operand, a non-immediate where an immediate goes, a CMP or branch
+/// condition outside the condition registers).  A line is rejected with
+/// `error` when it has one, else with `strict`, so every input rejected
+/// before keeps its message.
+struct Diagnosis {
+  std::string error;
+  std::string strict;
+
+  void flag(std::string why) {
+    if (strict.empty()) strict = std::move(why);
   }
-  return true;
-}
+};
 
-Operand parse_operand(const std::string& raw, int line_no) {
-  const std::string tok = trim(raw);
-  if (tok.empty()) fail(line_no, "empty operand");
-
+/// Parses one trimmed, non-empty operand.
+Operand parse_operand(std::string_view tok, Diagnosis& diag) {
+  Operand op;
   const std::size_t lb = tok.find('[');
-  if (lb != std::string::npos) {
-    if (tok.back() != ']') fail(line_no, "unterminated memory operand: " + tok);
-    Operand op;
-    op.kind = Operand::kMem;
-    op.mem.tag = trim(tok.substr(0, lb));
-    std::string inner = tok.substr(lb + 1, tok.size() - lb - 2);
-    int offset = 0;
-    const std::size_t plus = inner.find_first_of("+-");
-    if (plus != std::string::npos && plus > 0) {
-      offset = std::stoi(inner.substr(plus));
-      inner = inner.substr(0, plus);
+  if (lb != std::string_view::npos) {
+    if (tok.back() != ']') {
+      diag.error = "unterminated memory operand: " + std::string(tok);
+      return op;
     }
-    const auto base = try_reg(trim(inner));
-    if (!base) fail(line_no, "bad memory base register: " + tok);
-    op.mem.base = *base;
-    op.mem.offset = offset;
+    op.kind = Operand::kMem;
+    op.text = trim(tok.substr(0, lb));
+    std::string_view inner = tok.substr(lb + 1, tok.size() - lb - 2);
+    // An offset is a sign and decimal digits, up to the closing bracket.
+    const std::size_t sign = inner.find_first_of("+-");
+    if (sign != std::string_view::npos && sign > 0) {
+      const std::string_view number = trim(inner.substr(sign));
+      const char* first = number.data() + (number[0] == '+' ? 1 : 0);
+      const char* last = number.data() + number.size();
+      int offset = 0;
+      const auto [end, ec] = std::from_chars(first, last, offset);
+      if (number.size() < 2 || !is_digit(number[1]) || end != last) {
+        diag.flag("bad memory offset: " + std::string(tok));
+      } else if (ec != std::errc()) {
+        diag.flag("memory offset out of range: " + std::string(tok));
+      }
+      op.value = offset;
+      inner = inner.substr(0, sign);
+    }
+    const std::optional<Reg> base = try_reg(trim(inner));
+    if (!base) {
+      diag.error = "bad memory base register: " + std::string(tok);
+      return op;
+    }
+    op.reg = *base;
     return op;
   }
 
-  if (const auto reg = try_reg(tok)) {
-    Operand op;
+  if (const std::optional<Reg> reg = try_reg(tok)) {
     op.kind = Operand::kReg;
     op.reg = *reg;
     return op;
   }
-  if (is_imm(tok)) {
-    Operand op;
+  if (all_digits(tok[0] == '-' ? tok.substr(1) : tok)) {
     op.kind = Operand::kImm;
-    op.imm = std::stoll(tok);
+    const auto [end, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), op.value);
+    if (ec != std::errc()) {
+      diag.flag("immediate out of range: " + std::string(tok));
+    }
     return op;
   }
-  Operand op;
-  op.kind = Operand::kLabel;
-  op.label = tok;
+  op.text = tok;
   return op;
 }
 
-Instruction assemble(Opcode op, const std::vector<Operand>& ops, int line_no) {
-  auto want_reg = [&](std::size_t i) -> Reg {
-    if (i >= ops.size() || ops[i].kind != Operand::kReg) {
-      fail(line_no, "operand " + std::to_string(i) + " must be a register");
-    }
-    return ops[i].reg;
-  };
-  auto want_mem = [&](std::size_t i) -> MemRef {
-    if (i >= ops.size() || ops[i].kind != Operand::kMem) {
-      fail(line_no, "operand " + std::to_string(i) + " must be a memory ref");
-    }
-    return ops[i].mem;
-  };
-  auto want_label = [&](std::size_t i) -> std::string {
-    if (i >= ops.size() || ops[i].kind != Operand::kLabel) {
-      fail(line_no, "operand " + std::to_string(i) + " must be a label");
-    }
-    return ops[i].label;
-  };
+/// What an operand position takes.  The optional kinds may be left off
+/// (an omitted immediate is 0).
+enum class Want : std::uint8_t {
+  kReg,
+  kCondReg,
+  kMem,
+  kLabel,
+  kImm,
+  kRegOrImm,
+};
 
-  auto imm_at = [&](std::size_t i) -> std::int64_t {
-    return (i < ops.size() && ops[i].kind == Operand::kImm) ? ops[i].imm : 0;
-  };
+struct Form {
+  std::size_t required;   // leading positions that must be present
+  std::size_t positions;  // all positions; those past `required` optional
+  std::array<Want, 4> want;
+};
 
+Form form_of(Opcode op) {
+  using W = Want;
   switch (op) {
-    case Opcode::kLi:
-      return Instruction::li(want_reg(0), imm_at(1));
-    case Opcode::kMov:
-      return Instruction::mov(want_reg(0), want_reg(1));
+    case Opcode::kLi: return {1, 2, {W::kReg, W::kImm}};
+    case Opcode::kMov: return {2, 2, {W::kReg, W::kReg}};
     case Opcode::kAdd:
     case Opcode::kSub:
     case Opcode::kAnd:
@@ -160,119 +181,196 @@ Instruction assemble(Opcode op, const std::vector<Operand>& ops, int line_no) {
     case Opcode::kDiv:
     case Opcode::kFAdd:
     case Opcode::kFMul:
-    case Opcode::kFDiv: {
-      // Second source may be an immediate ("ADD r1, r2, 1").
-      if (ops.size() >= 3 && ops[2].kind == Operand::kReg) {
-        return Instruction::alu(op, want_reg(0), want_reg(1), want_reg(2));
-      }
-      return Instruction::alu_imm(op, want_reg(0), want_reg(1), imm_at(2));
-    }
-    case Opcode::kFMa:
-      return Instruction::fma(want_reg(0), want_reg(1), want_reg(2),
-                              want_reg(3));
+    case Opcode::kFDiv:  // second source a register or an immediate
+      return {2, 3, {W::kReg, W::kReg, W::kRegOrImm}};
+    case Opcode::kFMa: return {4, 4, {W::kReg, W::kReg, W::kReg, W::kReg}};
     case Opcode::kLoad:
-      return Instruction::load(want_reg(0), want_mem(1), /*update=*/false);
-    case Opcode::kLoadU:
-      return Instruction::load(want_reg(0), want_mem(1), /*update=*/true);
+    case Opcode::kLoadU: return {2, 2, {W::kReg, W::kMem}};
     case Opcode::kStore:
-      return Instruction::store(want_mem(0), want_reg(1), /*update=*/false);
+    case Opcode::kStoreU: return {2, 2, {W::kMem, W::kReg}};
+    case Opcode::kCmp: return {2, 3, {W::kCondReg, W::kReg, W::kImm}};
+    case Opcode::kBt:
+    case Opcode::kBf: return {2, 2, {W::kCondReg, W::kLabel}};
+    case Opcode::kB: return {1, 1, {W::kLabel}};
+    case Opcode::kNop: return {0, 0, {}};
+  }
+  return {0, 0, {}};
+}
+
+/// Checks `n` operands (the first ops.size() of them kept) against `op`'s
+/// form and builds the instruction.  Required positions are checked from
+/// the last to the first, so a line with several bad operands names the
+/// last one, as the GCC-built parser always has.
+std::optional<Instruction> assemble(Opcode op,
+                                    const std::array<Operand, 4>& ops,
+                                    std::size_t n, Diagnosis& diag) {
+  const Form form = form_of(op);
+  for (std::size_t i = form.required; i-- > 0;) {
+    const Want want = form.want[i];
+    const Operand::Kind need = want == Want::kMem     ? Operand::kMem
+                               : want == Want::kLabel ? Operand::kLabel
+                                                      : Operand::kReg;
+    if (i < n && ops[i].kind == need) continue;
+    const char* what = need == Operand::kMem     ? "a memory ref"
+                       : need == Operand::kLabel ? "a label"
+                                                 : "a register";
+    diag.error = "operand " + std::to_string(i) + " must be " + what;
+    return std::nullopt;
+  }
+  if (n > form.positions) {
+    diag.flag("too many operands for " + std::string(opcode_name(op)) +
+              ": got " + std::to_string(n) + ", at most " +
+              std::to_string(form.positions));
+  }
+  for (std::size_t i = 0; i < std::min(n, form.positions); ++i) {
+    const Operand::Kind kind = ops[i].kind;
+    const char* what = nullptr;
+    if (form.want[i] == Want::kImm && kind != Operand::kImm) {
+      what = " must be an immediate";
+    } else if (form.want[i] == Want::kRegOrImm && kind != Operand::kReg &&
+               kind != Operand::kImm) {
+      what = " must be a register or an immediate";
+    } else if (form.want[i] == Want::kCondReg &&
+               ops[i].reg.cls != RegClass::kCr) {
+      what = " must be a condition register";
+    }
+    if (what != nullptr) diag.flag("operand " + std::to_string(i) + what);
+  }
+  if (!diag.strict.empty()) return std::nullopt;
+
+  const auto reg = [&](std::size_t i) { return ops[i].reg; };
+  const auto mem = [&](std::size_t i) {
+    return MemRef{ops[i].reg, static_cast<int>(ops[i].value),
+                  std::string(ops[i].text)};
+  };
+  const auto imm = [&](std::size_t i) { return i < n ? ops[i].value : 0; };
+  switch (op) {
+    case Opcode::kLi: return Instruction::li(reg(0), imm(1));
+    case Opcode::kMov: return Instruction::mov(reg(0), reg(1));
+    case Opcode::kFMa: return Instruction::fma(reg(0), reg(1), reg(2), reg(3));
+    case Opcode::kLoad:
+    case Opcode::kLoadU:
+      return Instruction::load(reg(0), mem(1), op == Opcode::kLoadU);
+    case Opcode::kStore:
     case Opcode::kStoreU:
-      return Instruction::store(want_mem(0), want_reg(1), /*update=*/true);
-    case Opcode::kCmp:
-      return Instruction::cmp(want_reg(0), want_reg(1), imm_at(2));
+      return Instruction::store(mem(0), reg(1), op == Opcode::kStoreU);
+    case Opcode::kCmp: return Instruction::cmp(reg(0), reg(1), imm(2));
     case Opcode::kBt:
     case Opcode::kBf:
-      return Instruction::branch(op, want_reg(0), want_label(1));
-    case Opcode::kB:
-      return Instruction::jump(want_label(0));
-    case Opcode::kNop:
-      return Instruction::nop();
+      return Instruction::branch(op, reg(0), std::string(ops[1].text));
+    case Opcode::kB: return Instruction::jump(std::string(ops[0].text));
+    case Opcode::kNop: return Instruction::nop();
+    case Opcode::kAdd:
+    case Opcode::kSub:
+    case Opcode::kAnd:
+    case Opcode::kOr:
+    case Opcode::kXor:
+    case Opcode::kShl:
+    case Opcode::kShr:
+    case Opcode::kMul:
+    case Opcode::kDiv:
+    case Opcode::kFAdd:
+    case Opcode::kFMul:
+    case Opcode::kFDiv:
+      if (n >= 3 && ops[2].kind == Operand::kReg) {
+        return Instruction::alu(op, reg(0), reg(1), reg(2));
+      }
+      return Instruction::alu_imm(op, reg(0), reg(1), imm(2));
   }
-  fail(line_no, "unhandled opcode");
+  diag.error = "unhandled opcode";
+  return std::nullopt;
+}
+
+struct ParseFailure {
+  int line = 0;  // 0: the program holds no instruction or block
+  std::string why;
+};
+
+/// The parse core, one pass over `text`.  Fills `prog` or returns why not.
+std::optional<ParseFailure> parse(std::string_view text, Program& prog) {
+  int line_no = 0;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    std::string_view line = text.substr(start, end - start);
+    start = end + 1;
+    ++line_no;
+    line = trim(line.substr(0, std::min(line.find('#'), line.find(';'))));
+    if (line.empty()) continue;
+
+    if (line.substr(0, 6) == "block ") {
+      std::string_view label = trim(line.substr(6));
+      if (!label.empty() && label.back() == ':') label.remove_suffix(1);
+      if (label.empty()) return ParseFailure{line_no, "block needs a label"};
+      prog.blocks.push_back(BasicBlock{std::string(label), {}});
+      continue;
+    }
+    if (prog.blocks.empty()) prog.blocks.push_back(BasicBlock{"entry", {}});
+
+    // Mnemonic, then comma-separated operands; empty operands are skipped.
+    const std::size_t sp = line.find_first_of(" \t");
+    const std::string_view mnemonic = line.substr(0, sp);
+    const std::optional<Opcode> op = find_opcode(mnemonic);
+    if (!op) {
+      return ParseFailure{line_no,
+                          "unknown opcode: " + std::string(mnemonic)};
+    }
+    Diagnosis diag;
+    std::array<Operand, 4> ops;  // no form reads past operand 3
+    std::size_t n = 0;
+    if (sp != std::string_view::npos) {
+      for (std::string_view rest = line.substr(sp + 1);;) {
+        const std::size_t comma = rest.find(',');
+        const std::string_view tok = trim(rest.substr(0, comma));
+        if (!tok.empty()) {
+          const Operand operand = parse_operand(tok, diag);
+          if (!diag.error.empty()) return ParseFailure{line_no, diag.error};
+          if (n < ops.size()) ops[n] = operand;
+          ++n;
+        }
+        if (comma == std::string_view::npos) break;
+        rest.remove_prefix(comma + 1);
+      }
+    }
+    std::optional<Instruction> inst = assemble(*op, ops, n, diag);
+    if (!inst) {
+      return ParseFailure{line_no,
+                          diag.error.empty() ? diag.strict : diag.error};
+    }
+    prog.blocks.back().insts.push_back(std::move(*inst));
+  }
+  if (prog.blocks.empty()) return ParseFailure{0, "empty program"};
+  return std::nullopt;
 }
 
 }  // namespace
 
 Program parse_program(const std::string& text) {
   Program prog;
-  int line_no = 0;
-  for (const std::string& raw_line : split(text, '\n')) {
-    ++line_no;
-    std::string line = raw_line;
-    const std::size_t comment = line.find_first_of("#;");
-    if (comment != std::string::npos) line = line.substr(0, comment);
-    line = trim(line);
-    if (line.empty()) continue;
-
-    if (starts_with(line, "block ")) {
-      std::string label = trim(line.substr(6));
-      if (!label.empty() && label.back() == ':') label.pop_back();
-      if (label.empty()) fail(line_no, "block needs a label");
-      prog.blocks.push_back(BasicBlock{label, {}});
-      continue;
-    }
-
-    if (prog.blocks.empty()) prog.blocks.push_back(BasicBlock{"entry", {}});
-
-    // Mnemonic, then comma-separated operands.
-    const std::size_t sp = line.find_first_of(" \t");
-    const std::string mnemonic =
-        sp == std::string::npos ? line : line.substr(0, sp);
-    const auto it = opcode_table().find(mnemonic);
-    if (it == opcode_table().end()) {
-      fail(line_no, "unknown opcode: " + mnemonic);
-    }
-    std::vector<Operand> operands;
-    if (sp != std::string::npos) {
-      for (const std::string& part : split(line.substr(sp + 1), ',')) {
-        const std::string t = trim(part);
-        if (!t.empty()) operands.push_back(parse_operand(t, line_no));
-      }
-    }
-    // Drop trailing immediates so "CMP c1, r6, 0" works uniformly.
-    prog.blocks.back().insts.push_back(assemble(it->second, operands, line_no));
+  if (const std::optional<ParseFailure> failure = parse(text, prog)) {
+    AIS_CHECK(failure->line > 0, failure->why);
+    panic("asm", failure->line, "parse error: " + failure->why);
   }
-  AIS_CHECK(!prog.blocks.empty(), "empty program");
   return prog;
 }
 
 BasicBlock parse_block(const std::string& text) {
-  const Program prog = parse_program(text);
+  Program prog = parse_program(text);
   AIS_CHECK(prog.blocks.size() == 1, "expected exactly one block");
-  return prog.blocks[0];
+  return std::move(prog.blocks[0]);
 }
 
 std::optional<Program> parse_program_or_error(const std::string& text,
                                               std::string* error) {
-  // Pre-check emptiness: parse_program's empty-program AIS_CHECK panics
-  // outside fail()'s reach.
-  bool has_content = false;
-  for (const std::string& raw_line : split(text, '\n')) {
-    std::string line = raw_line;
-    const std::size_t comment = line.find_first_of("#;");
-    if (comment != std::string::npos) line = line.substr(0, comment);
-    if (!trim(line).empty()) {
-      has_content = true;
-      break;
-    }
-  }
-  if (!has_content) {
-    *error = "empty program";
+  Program prog;
+  if (const std::optional<ParseFailure> failure = parse(text, prog)) {
+    *error = failure->line > 0
+                 ? "line " + std::to_string(failure->line) + ": " + failure->why
+                 : failure->why;
     return std::nullopt;
   }
-  g_recoverable = true;
-  try {
-    Program prog = parse_program(text);
-    g_recoverable = false;
-    return prog;
-  } catch (const ParseError& e) {
-    g_recoverable = false;
-    *error = e.message;
-  } catch (const std::exception& e) {  // e.g. std::stoi range errors
-    g_recoverable = false;
-    *error = std::string("parse error: ") + e.what();
-  }
-  return std::nullopt;
+  return prog;
 }
 
 std::string block_structure_error(const Program& prog) {

@@ -5,13 +5,19 @@
 //   block CL.18:          -- starts a new basic block with that label
 //     LDU r6, x[r7+4]     -- load with base-register update, region "x"
 //     STU y[r5+4], r0     -- store with update
-//     CMP c1, r6          -- compare (immediate operands may be appended
-//                            and are ignored: "CMP c1, r6, 0" also parses)
-//     MUL r0, r6, r0
+//     CMP c1, r6          -- compare; the immediate may be given
+//                            ("CMP c1, r6, 0") or left off (it is 0)
+//     MUL r0, r6, r0      -- or an immediate second source: "ADD r1, r2, 1"
 //     BT  c1, CL.1        -- conditional branch on condition register c1
 //
 // Memory operands are  tag[rB+off]  or  [rB+off]  (empty tag = may alias
-// anything).  Registers are rN (general), fN (float), cN (condition).
+// anything; off is a sign and decimal digits, and may be left off).
+// Registers are rN (general), fN (float), cN (condition), N <= 255; any
+// other token that is not a decimal immediate is a label.  A line is
+// rejected, naming it, when an operand is of the wrong kind, when it has
+// more operands than its opcode takes, when an immediate or offset does not
+// fit or has trailing characters, or when a CMP destination or branch
+// condition is not a condition register.
 #pragma once
 
 #include <optional>

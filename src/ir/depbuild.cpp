@@ -1,49 +1,31 @@
 #include "ir/depbuild.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "support/assert.hpp"
 
 namespace ais {
 namespace {
 
-/// Dense register index across the three register files.
-int reg_key(const Reg& r) {
-  return static_cast<int>(r.cls) * 256 + static_cast<int>(r.idx);
+/// Register slots across the three register files, 256 registers each.
+constexpr std::size_t kRegSlots = 3 * 256;
+
+std::size_t reg_slot(const Reg& r) {
+  const std::size_t slot = static_cast<std::size_t>(r.cls) * 256 + r.idx;
+  AIS_CHECK(slot < kRegSlots, "register class out of range");
+  return slot;
 }
 
-/// One instruction occurrence in the (possibly doubled) analysis sequence.
+/// One instruction of the trace, indexed by its node id.
 struct Occurrence {
   const Instruction* inst;
-  int block;  // block index within the trace
-  int copy;   // 0 = current iteration, 1 = next iteration (loop analysis)
-  NodeId node;  // node id in the output graph (same for both copies)
-};
-
-/// Collects dependence edges with (from, to, distance) dedup keeping the
-/// maximum latency, then emits them into the graph.
-class EdgeSink {
- public:
-  explicit EdgeSink(DepGraph& g) : g_(g) {}
-
-  void add(NodeId from, NodeId to, int latency, int distance) {
-    if (distance == 0 && from == to) return;  // degenerate; nothing to order
-    const auto key = std::make_tuple(from, to, distance);
-    auto [it, inserted] = best_.emplace(key, latency);
-    if (!inserted) it->second = std::max(it->second, latency);
-  }
-
-  void flush() {
-    for (const auto& [key, latency] : best_) {
-      const auto& [from, to, distance] = key;
-      g_.add_edge(from, to, latency, distance);
-    }
-  }
-
- private:
-  DepGraph& g_;
-  std::map<std::tuple<NodeId, NodeId, int>, int> best_;
+  int latency;      // as a producer, on the machine
+  int block_start;  // node id of its block's first instruction
 };
 
 /// True when references a and b may touch the same memory and at least one
@@ -59,87 +41,6 @@ bool mem_conflict(const Instruction& a, const Instruction& b,
   return ta == tb;
 }
 
-int producer_latency(const Instruction& inst, const MachineModel& machine) {
-  return machine.timing(op_class(inst.op)).latency;
-}
-
-/// Scans `seq` in order adding register, memory and control dependences.
-/// An edge between occurrences of different copies becomes distance 1.
-void scan(const std::vector<Occurrence>& seq, const MachineModel& machine,
-          const DepBuildOptions& opts, EdgeSink& sink) {
-  struct RegState {
-    int last_def = -1;                // index into seq
-    std::vector<int> uses_since_def;  // reads after last_def
-  };
-  std::map<int, RegState> regs;
-  std::vector<int> mem_refs;  // indices of prior loads/stores
-
-  auto emit = [&](int from_idx, int to_idx, int latency) {
-    const Occurrence& a = seq[static_cast<std::size_t>(from_idx)];
-    const Occurrence& b = seq[static_cast<std::size_t>(to_idx)];
-    const int distance = b.copy - a.copy;
-    AIS_CHECK(distance >= 0, "dependence cannot point backwards in copies");
-    // Copy-1 internal edges duplicate copy-0 internal edges; drop them.
-    if (a.copy == 1 && b.copy == 1) return;
-    sink.add(a.node, b.node, latency, distance);
-  };
-
-  for (int j = 0; j < static_cast<int>(seq.size()); ++j) {
-    const Instruction& inst = *seq[static_cast<std::size_t>(j)].inst;
-
-    // RAW: latest def of each used register.
-    for (const Reg& r : inst.uses) {
-      RegState& st = regs[reg_key(r)];
-      if (st.last_def >= 0) {
-        const Instruction& def =
-            *seq[static_cast<std::size_t>(st.last_def)].inst;
-        emit(st.last_def, j, producer_latency(def, machine));
-      }
-      st.uses_since_def.push_back(j);
-    }
-
-    // WAW + WAR for each defined register.
-    for (const Reg& r : inst.defs) {
-      RegState& st = regs[reg_key(r)];
-      if (st.last_def >= 0 && st.last_def != j) emit(st.last_def, j, 0);
-      for (const int u : st.uses_since_def) {
-        if (u != j) emit(u, j, 0);
-      }
-      st.last_def = j;
-      st.uses_since_def.clear();
-    }
-
-    // Memory ordering.
-    if (inst.is_mem()) {
-      for (const int prior : mem_refs) {
-        const Instruction& p = *seq[static_cast<std::size_t>(prior)].inst;
-        if (!mem_conflict(p, inst, opts.disambiguate_memory)) continue;
-        // store→load is a true dependence through memory and carries the
-        // store's forwarding latency; load→store / store→store order only.
-        const int latency =
-            (p.is_store() && inst.is_load()) ? producer_latency(p, machine) : 0;
-        emit(prior, j, latency);
-      }
-      mem_refs.push_back(j);
-    }
-  }
-
-  // Control dependences: within each (block, copy), everything precedes the
-  // final branch.
-  if (opts.control_deps) {
-    for (std::size_t j = 0; j < seq.size(); ++j) {
-      const Occurrence& br = seq[j];
-      if (!br.inst->is_branch()) continue;
-      for (std::size_t i = 0; i < j; ++i) {
-        const Occurrence& prev = seq[i];
-        if (prev.block == br.block && prev.copy == br.copy) {
-          emit(static_cast<int>(i), static_cast<int>(j), 0);
-        }
-      }
-    }
-  }
-}
-
 /// Validates block structure: at most one branch, and only at the end.
 void check_block(const BasicBlock& bb) {
   for (std::size_t i = 0; i < bb.insts.size(); ++i) {
@@ -150,41 +51,160 @@ void check_block(const BasicBlock& bb) {
   }
 }
 
-DepGraph build(const Trace& trace, const MachineModel& machine,
-               const DepBuildOptions& opts, bool loop_carried) {
-  DepGraph g;
-  std::size_t num_insts = 0;
-  for (const BasicBlock& bb : trace.blocks) num_insts += bb.insts.size();
-  g.reserve(num_insts);
-  std::vector<Occurrence> seq;
-  seq.reserve(loop_carried ? 2 * num_insts : num_insts);
+/// Scans the trace once (twice for a loop: the second pass is the next
+/// iteration, whose edges from the first pass become distance-1 edges) and
+/// returns its register, memory and control dependences, one edge per
+/// (from, to, distance) at the largest latency found, ordered by
+/// (from, to, distance).
+///
+/// Scan position j is node j % n of copy j / n.  An edge between two
+/// positions of the second copy repeats one of the first and is dropped.
+std::vector<DepEdge> scan(const std::vector<Occurrence>& occ,
+                          const DepBuildOptions& opts, bool loop_carried) {
+  const int n = static_cast<int>(occ.size());
+  const int positions = loop_carried ? 2 * n : n;
 
-  for (int b = 0; b < static_cast<int>(trace.blocks.size()); ++b) {
-    const BasicBlock& bb = trace.blocks[static_cast<std::size_t>(b)];
-    check_block(bb);
-    for (std::size_t i = 0; i < bb.insts.size(); ++i) {
-      const Instruction& inst = bb.insts[i];
-      const OpTiming& t = machine.timing(op_class(inst.op));
-      const NodeId node = g.add_node(inst.to_string(), t.exec_time, t.fu_class,
-                                     /*block=*/b);
-      seq.push_back(Occurrence{&inst, b, /*copy=*/0, node});
+  // Per register: the position of its last def, and the reads since then
+  // as a list threaded through `reads` (-1 ends a list).
+  std::array<int, kRegSlots> last_def;
+  std::array<int, kRegSlots> reads_head;
+  last_def.fill(-1);
+  reads_head.fill(-1);
+  struct Read {
+    int pos;
+    int next;
+  };
+  std::vector<Read> reads;
+  std::vector<int> mem_refs;  // positions of prior loads/stores
+  std::size_t num_reads = 0;
+  for (const Occurrence& o : occ) num_reads += o.inst->uses.size();
+  reads.reserve(loop_carried ? 2 * num_reads : num_reads);
+  mem_refs.reserve(occ.size());
+
+  // A position's edges are found together.  While `seen_by[from]` names the
+  // current position, `merged_at[from]` indexes its edge from `from`, so a
+  // repeated pair keeps only its largest latency.
+  std::vector<DepEdge> edges;
+  // Random-IR traces keep about 3.4 edges per instruction.
+  edges.reserve(4 * static_cast<std::size_t>(positions));
+  std::vector<int> seen_by(occ.size(), -1);
+  std::vector<std::size_t> merged_at(occ.size(), 0);
+  std::size_t first_copy_edges = 0;
+
+  for (int j = 0; j < positions; ++j) {
+    if (j == n) first_copy_edges = edges.size();
+    const Occurrence& here = occ[static_cast<std::size_t>(j % n)];
+    const Instruction& inst = *here.inst;
+    const auto to = static_cast<NodeId>(j % n);
+    const int distance = j / n;
+    const auto depend_on = [&](int pos, int latency) {
+      if (pos >= n) return;  // second copy to second copy
+      const auto from = static_cast<std::size_t>(pos);
+      if (seen_by[from] == j) {
+        int& kept = edges[merged_at[from]].latency;
+        kept = std::max(kept, latency);
+        return;
+      }
+      seen_by[from] = j;
+      merged_at[from] = edges.size();
+      edges.push_back(DepEdge{static_cast<NodeId>(pos), to, latency, distance});
+    };
+
+    // RAW: latest def of each used register.
+    for (const Reg& r : inst.uses) {
+      const std::size_t slot = reg_slot(r);
+      if (last_def[slot] >= 0) {
+        depend_on(last_def[slot],
+                  occ[static_cast<std::size_t>(last_def[slot] % n)].latency);
+      }
+      reads.push_back(Read{j, reads_head[slot]});
+      reads_head[slot] = static_cast<int>(reads.size()) - 1;
+    }
+
+    // WAW + WAR for each defined register.
+    for (const Reg& r : inst.defs) {
+      const std::size_t slot = reg_slot(r);
+      if (last_def[slot] >= 0 && last_def[slot] != j) {
+        depend_on(last_def[slot], 0);
+      }
+      for (int k = reads_head[slot]; k >= 0;
+           k = reads[static_cast<std::size_t>(k)].next) {
+        const int pos = reads[static_cast<std::size_t>(k)].pos;
+        if (pos != j) depend_on(pos, 0);
+      }
+      last_def[slot] = j;
+      reads_head[slot] = -1;
+    }
+
+    // Memory ordering.
+    if (inst.is_mem()) {
+      for (const int prior : mem_refs) {
+        const Occurrence& p = occ[static_cast<std::size_t>(prior % n)];
+        if (!mem_conflict(*p.inst, inst, opts.disambiguate_memory)) continue;
+        // store→load is a true dependence through memory and carries the
+        // store's forwarding latency; load→store / store→store order only.
+        depend_on(prior,
+                  p.inst->is_store() && inst.is_load() ? p.latency : 0);
+      }
+      // A second-copy reference would only order later second-copy ones.
+      if (j < n) mem_refs.push_back(j);
+    }
+
+    // Control dependences: everything in the block precedes its final
+    // branch.  They never cross copies, so the second copy's repeat the
+    // first's.
+    if (opts.control_deps && inst.is_branch() && j < n) {
+      for (int i = here.block_start; i < j; ++i) depend_on(i, 0);
     }
   }
 
+  // `edges` is sorted by (to, distance) within each copy, positions being
+  // scanned in order.  Merging the copies sorts it by (to, distance)
+  // throughout; a stable sort on `from` then gives (from, to, distance).
+  const auto by_target = [](const DepEdge& a, const DepEdge& b) {
+    return a.to != b.to ? a.to < b.to : a.distance < b.distance;
+  };
   if (loop_carried) {
-    // Second copy of the body; nodes reuse the copy-0 ids so copy-0→copy-1
-    // edges fold into distance-1 edges.
-    const std::size_t body_size = seq.size();
-    for (std::size_t k = 0; k < body_size; ++k) {
-      Occurrence occ = seq[k];
-      occ.copy = 1;
-      seq.push_back(occ);
+    std::inplace_merge(
+        edges.begin(),
+        edges.begin() + static_cast<std::ptrdiff_t>(first_copy_edges),
+        edges.end(), by_target);
+  }
+  std::vector<std::uint32_t> next(occ.size() + 1, 0);
+  for (const DepEdge& e : edges) ++next[e.from + 1];
+  for (std::size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  std::vector<DepEdge> sorted(edges.size());
+  for (const DepEdge& e : edges) sorted[next[e.from]++] = e;
+  return sorted;
+}
+
+/// Dependence graph of `blocks` in order; node i of block b gets block b.
+DepGraph build(std::span<const BasicBlock> blocks, const MachineModel& machine,
+               const DepBuildOptions& opts, bool loop_carried) {
+  std::size_t num_insts = 0;
+  for (const BasicBlock& bb : blocks) num_insts += bb.insts.size();
+  DepGraph g;
+  g.reserve(num_insts);
+  std::vector<Occurrence> occ;
+  occ.reserve(num_insts);
+  std::string name;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    check_block(blocks[b]);
+    const auto block_start = static_cast<int>(occ.size());
+    for (const Instruction& inst : blocks[b].insts) {
+      const OpTiming& t = machine.timing(op_class(inst.op));
+      name.clear();
+      inst.append_to(name);
+      g.add_node(name, t.exec_time, t.fu_class, static_cast<int>(b));
+      occ.push_back(Occurrence{&inst, t.latency, block_start});
     }
   }
 
-  EdgeSink sink(g);
-  scan(seq, machine, opts, sink);
-  sink.flush();
+  const std::vector<DepEdge> edges = scan(occ, opts, loop_carried);
+  g.reserve(num_insts, edges.size());
+  for (const DepEdge& e : edges) {
+    g.add_edge(e.from, e.to, e.latency, e.distance);
+  }
   return g;
 }
 
@@ -192,19 +212,17 @@ DepGraph build(const Trace& trace, const MachineModel& machine,
 
 DepGraph build_block_graph(const BasicBlock& bb, const MachineModel& machine,
                            const DepBuildOptions& opts) {
-  Trace t;
-  t.blocks.push_back(bb);
-  return build(t, machine, opts, /*loop_carried=*/false);
+  return build({&bb, 1}, machine, opts, /*loop_carried=*/false);
 }
 
 DepGraph build_trace_graph(const Trace& trace, const MachineModel& machine,
                            const DepBuildOptions& opts) {
-  return build(trace, machine, opts, /*loop_carried=*/false);
+  return build(trace.blocks, machine, opts, /*loop_carried=*/false);
 }
 
 DepGraph build_loop_graph(const Loop& loop, const MachineModel& machine,
                           const DepBuildOptions& opts) {
-  return build(loop.body, machine, opts, /*loop_carried=*/true);
+  return build(loop.body.blocks, machine, opts, /*loop_carried=*/true);
 }
 
 }  // namespace ais

@@ -1,16 +1,31 @@
 #include "ir/instruction.hpp"
 
-#include <sstream>
+#include <charconv>
 
 #include "support/assert.hpp"
 
 namespace ais {
+namespace {
+
+void append_int(std::string& out, std::int64_t value) {
+  char buf[24];  // fits INT64_MIN, "-9223372036854775808"
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, end);
+}
+
+}  // namespace
+
+void Reg::append_to(std::string& out) const {
+  out += cls == RegClass::kGpr   ? 'r'
+         : cls == RegClass::kFpr ? 'f'
+                                 : 'c';
+  append_int(out, idx);
+}
 
 std::string Reg::to_string() const {
-  const char prefix = cls == RegClass::kGpr ? 'r'
-                      : cls == RegClass::kFpr ? 'f'
-                                              : 'c';
-  return prefix + std::to_string(idx);
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 const char* opcode_name(Opcode op) {
@@ -79,46 +94,52 @@ bool opcode_is_branch(Opcode op) {
 
 namespace {
 
-std::string mem_to_string(const MemRef& m) {
-  std::ostringstream os;
-  if (!m.tag.empty()) os << m.tag;
-  os << '[' << m.base.to_string();
-  if (m.offset >= 0) {
-    os << '+' << m.offset;
-  } else {
-    os << m.offset;
-  }
-  os << ']';
-  return os.str();
+void append_mem(std::string& out, const MemRef& m) {
+  out += m.tag;
+  out += '[';
+  m.base.append_to(out);
+  if (m.offset >= 0) out += '+';
+  append_int(out, m.offset);
+  out += ']';
 }
 
 }  // namespace
 
-std::string Instruction::to_string() const {
-  std::ostringstream os;
-  os << opcode_name(op);
+void Instruction::append_to(std::string& out) const {
+  out += opcode_name(op);
   if (is_store()) {
-    os << ' ' << mem_to_string(*mem) << ", " << uses[0].to_string();
-    return os.str();
+    out += ' ';
+    append_mem(out, *mem);
+    out += ", ";
+    uses[0].append_to(out);
+    return;
   }
   if (is_load()) {
-    os << ' ' << defs[0].to_string() << ", " << mem_to_string(*mem);
-    return os.str();
+    out += ' ';
+    defs[0].append_to(out);
+    out += ", ";
+    append_mem(out, *mem);
+    return;
   }
   if (is_branch()) {
-    os << ' ';
-    if (!uses.empty()) os << uses[0].to_string() << ", ";
-    os << target;
-    return os.str();
+    out += ' ';
+    if (!uses.empty()) {
+      uses[0].append_to(out);
+      out += ", ";
+    }
+    out += target;
+    return;
   }
-  bool first = true;
+  const char* sep = " ";
   for (const Reg& d : defs) {
-    os << (first ? " " : ", ") << d.to_string();
-    first = false;
+    out += sep;
+    d.append_to(out);
+    sep = ", ";
   }
   for (const Reg& u : uses) {
-    os << (first ? " " : ", ") << u.to_string();
-    first = false;
+    out += sep;
+    u.append_to(out);
+    sep = ", ";
   }
   // Immediate-consuming forms print their constant so the rendering parses
   // back to the same instruction (aisc round-trips its own output).
@@ -129,9 +150,15 @@ std::string Instruction::to_string() const {
         op_class(op) == OpClass::kIntDiv || op_class(op) == OpClass::kFpAdd ||
         op_class(op) == OpClass::kFpMul || op_class(op) == OpClass::kFpDiv));
   if (imm_form) {
-    os << (first ? " " : ", ") << imm;
+    out += sep;
+    append_int(out, imm);
   }
-  return os.str();
+}
+
+std::string Instruction::to_string() const {
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 Instruction Instruction::li(Reg d, std::int64_t imm) {

@@ -25,6 +25,8 @@ struct Reg {
   bool operator==(const Reg&) const = default;
   /// "r5", "f2" or "c1".
   std::string to_string() const;
+  /// Appends to_string()'s text to `out`.
+  void append_to(std::string& out) const;
 };
 
 inline Reg gpr(std::uint8_t i) { return Reg{RegClass::kGpr, i}; }
@@ -87,6 +89,9 @@ class Instruction {
 
   /// Assembly-ish rendering, e.g. "LDU r6, x[r7+4]".
   std::string to_string() const;
+  /// Appends to_string()'s text to `out`, so the emitter and the dependence
+  /// builder render into reused buffers.
+  void append_to(std::string& out) const;
 
   // Factory helpers (keep examples and workload generators readable).
   static Instruction li(Reg d, std::int64_t imm = 0);

@@ -1,6 +1,7 @@
 #include "server/compile_service.hpp"
 
 #include <cstdio>
+#include <utility>
 
 #include "baselines/block_schedulers.hpp"
 #include "cfg/cfg.hpp"
@@ -23,8 +24,8 @@ void emit(const std::vector<BasicBlock>& blocks, std::string* out) {
     out->append(":\n");
     for (const Instruction& inst : bb.insts) {
       out->append("  ");
-      out->append(inst.to_string());
-      out->append("\n");
+      inst.append_to(*out);
+      out->push_back('\n');
     }
   }
 }
@@ -145,12 +146,11 @@ void compile_ir(const std::string& ir_text, const CompileOptions& options,
     }
     if (options.verify) attach_verification(compiled.verification, reply);
   } else {
-    Trace trace{prog->blocks};
+    Trace trace{std::move(prog->blocks)};
     if (options.rename) trace = rename_trace(trace);
 
     if (options.mode == "loop") {
-      Loop loop;
-      loop.body = trace;
+      const Loop loop{std::move(trace)};
       const ScheduledLoop scheduled = schedule(loop, *machine, options.window);
       emit(scheduled.blocks, &scratch.asm_text);
       if (options.report) {

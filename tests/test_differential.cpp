@@ -1,5 +1,6 @@
-// Differential properties for the optimized Rank/Merge/Move_Idle hot path
-// and the memoized §5.2.3 loop candidate search.
+// Differential properties for the optimized Rank/Merge/Move_Idle hot path,
+// the memoized §5.2.3 loop candidate search and the IR front end (the
+// renderer, the dependence builder and the asm parser).
 //
 // The session-cached scheduler (closure reuse, incremental reranks, the
 // persistent by-rank ordering, the packed-key sort, the ready-queue greedy
@@ -11,10 +12,17 @@
 // amounts exactly — not approximately.
 #include <algorithm>
 #include <array>
+#include <cctype>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -32,12 +40,15 @@
 #include "driver/anticipatory.hpp"
 #include "graph/closure.hpp"
 #include "graph/topo.hpp"
+#include "ir/asm_parser.hpp"
 #include "ir/depbuild.hpp"
+#include "ir/instruction.hpp"
 #include "machine/machine_model.hpp"
 #include "obs/obs.hpp"
 #include "sim/loop_sim.hpp"
 #include "support/assert.hpp"
 #include "support/prng.hpp"
+#include "support/str.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/random_graphs.hpp"
 #include "workloads/random_ir.hpp"
@@ -1550,6 +1561,889 @@ TEST(Differential, LoopSearchMatchesVerbatimReference) {
   }
   EXPECT_GT(duplicate_makespans, 0);
   EXPECT_GT(makespan_ties, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The IR front end: renderer, dependence builder and asm parser.
+// ---------------------------------------------------------------------------
+
+namespace ref_frontend {
+
+/// Instruction rendering verbatim from before the appending renderer.
+std::string reg_to_string(const Reg& r) {
+  const char prefix = r.cls == RegClass::kGpr ? 'r'
+                      : r.cls == RegClass::kFpr ? 'f'
+                                                : 'c';
+  return prefix + std::to_string(r.idx);
+}
+
+std::string mem_to_string(const MemRef& m) {
+  std::ostringstream os;
+  if (!m.tag.empty()) os << m.tag;
+  os << '[' << reg_to_string(m.base);
+  if (m.offset >= 0) {
+    os << '+' << m.offset;
+  } else {
+    os << m.offset;
+  }
+  os << ']';
+  return os.str();
+}
+
+std::string to_string(const Instruction& inst) {
+  std::ostringstream os;
+  os << opcode_name(inst.op);
+  if (inst.is_store()) {
+    os << ' ' << mem_to_string(*inst.mem) << ", "
+       << reg_to_string(inst.uses[0]);
+    return os.str();
+  }
+  if (inst.is_load()) {
+    os << ' ' << reg_to_string(inst.defs[0]) << ", "
+       << mem_to_string(*inst.mem);
+    return os.str();
+  }
+  if (inst.is_branch()) {
+    os << ' ';
+    if (!inst.uses.empty()) os << reg_to_string(inst.uses[0]) << ", ";
+    os << inst.target;
+    return os.str();
+  }
+  bool first = true;
+  for (const Reg& d : inst.defs) {
+    os << (first ? " " : ", ") << reg_to_string(d);
+    first = false;
+  }
+  for (const Reg& u : inst.uses) {
+    os << (first ? " " : ", ") << reg_to_string(u);
+    first = false;
+  }
+  const Opcode op = inst.op;
+  const bool imm_form =
+      op == Opcode::kLi || op == Opcode::kCmp ||
+      (inst.uses.size() == 1 && inst.defs.size() == 1 &&
+       (op_class(op) == OpClass::kIntAlu || op_class(op) == OpClass::kIntMul ||
+        op_class(op) == OpClass::kIntDiv || op_class(op) == OpClass::kFpAdd ||
+        op_class(op) == OpClass::kFpMul || op_class(op) == OpClass::kFpDiv));
+  if (imm_form) {
+    os << (first ? " " : ", ") << inst.imm;
+  }
+  return os.str();
+}
+
+// The dependence builder verbatim from before the flat one-pass rebuild:
+// std::map register state, std::map edge dedup, and control dependences
+// found by rescanning every earlier occurrence for each branch.
+
+int reg_key(const Reg& r) {
+  return static_cast<int>(r.cls) * 256 + static_cast<int>(r.idx);
+}
+
+struct Occurrence {
+  const Instruction* inst;
+  int block;
+  int copy;
+  NodeId node;
+};
+
+class EdgeSink {
+ public:
+  explicit EdgeSink(DepGraph& g) : g_(g) {}
+
+  void add(NodeId from, NodeId to, int latency, int distance) {
+    if (distance == 0 && from == to) return;
+    const auto key = std::make_tuple(from, to, distance);
+    auto [it, inserted] = best_.emplace(key, latency);
+    if (!inserted) it->second = std::max(it->second, latency);
+  }
+
+  void flush() {
+    for (const auto& [key, latency] : best_) {
+      const auto& [from, to, distance] = key;
+      g_.add_edge(from, to, latency, distance);
+    }
+  }
+
+ private:
+  DepGraph& g_;
+  std::map<std::tuple<NodeId, NodeId, int>, int> best_;
+};
+
+bool mem_conflict(const Instruction& a, const Instruction& b,
+                  bool disambiguate) {
+  if (!a.is_mem() || !b.is_mem()) return false;
+  if (a.is_load() && b.is_load()) return false;
+  if (!disambiguate) return true;
+  const std::string& ta = a.mem->tag;
+  const std::string& tb = b.mem->tag;
+  if (ta.empty() || tb.empty()) return true;
+  return ta == tb;
+}
+
+int producer_latency(const Instruction& inst, const MachineModel& machine) {
+  return machine.timing(op_class(inst.op)).latency;
+}
+
+void scan(const std::vector<Occurrence>& seq, const MachineModel& machine,
+          const DepBuildOptions& opts, EdgeSink& sink) {
+  struct RegState {
+    int last_def = -1;
+    std::vector<int> uses_since_def;
+  };
+  std::map<int, RegState> regs;
+  std::vector<int> mem_refs;
+
+  auto emit = [&](int from_idx, int to_idx, int latency) {
+    const Occurrence& a = seq[static_cast<std::size_t>(from_idx)];
+    const Occurrence& b = seq[static_cast<std::size_t>(to_idx)];
+    const int distance = b.copy - a.copy;
+    AIS_CHECK(distance >= 0, "dependence cannot point backwards in copies");
+    if (a.copy == 1 && b.copy == 1) return;
+    sink.add(a.node, b.node, latency, distance);
+  };
+
+  for (int j = 0; j < static_cast<int>(seq.size()); ++j) {
+    const Instruction& inst = *seq[static_cast<std::size_t>(j)].inst;
+
+    for (const Reg& r : inst.uses) {
+      RegState& st = regs[reg_key(r)];
+      if (st.last_def >= 0) {
+        const Instruction& def =
+            *seq[static_cast<std::size_t>(st.last_def)].inst;
+        emit(st.last_def, j, producer_latency(def, machine));
+      }
+      st.uses_since_def.push_back(j);
+    }
+
+    for (const Reg& r : inst.defs) {
+      RegState& st = regs[reg_key(r)];
+      if (st.last_def >= 0 && st.last_def != j) emit(st.last_def, j, 0);
+      for (const int u : st.uses_since_def) {
+        if (u != j) emit(u, j, 0);
+      }
+      st.last_def = j;
+      st.uses_since_def.clear();
+    }
+
+    if (inst.is_mem()) {
+      for (const int prior : mem_refs) {
+        const Instruction& p = *seq[static_cast<std::size_t>(prior)].inst;
+        if (!mem_conflict(p, inst, opts.disambiguate_memory)) continue;
+        const int latency =
+            (p.is_store() && inst.is_load()) ? producer_latency(p, machine) : 0;
+        emit(prior, j, latency);
+      }
+      mem_refs.push_back(j);
+    }
+  }
+
+  if (opts.control_deps) {
+    for (std::size_t j = 0; j < seq.size(); ++j) {
+      const Occurrence& br = seq[j];
+      if (!br.inst->is_branch()) continue;
+      for (std::size_t i = 0; i < j; ++i) {
+        const Occurrence& prev = seq[i];
+        if (prev.block == br.block && prev.copy == br.copy) {
+          emit(static_cast<int>(i), static_cast<int>(j), 0);
+        }
+      }
+    }
+  }
+}
+
+DepGraph build(const Trace& trace, const MachineModel& machine,
+               const DepBuildOptions& opts, bool loop_carried) {
+  DepGraph g;
+  std::size_t num_insts = 0;
+  for (const BasicBlock& bb : trace.blocks) num_insts += bb.insts.size();
+  g.reserve(num_insts);
+  std::vector<Occurrence> seq;
+  seq.reserve(loop_carried ? 2 * num_insts : num_insts);
+
+  for (int b = 0; b < static_cast<int>(trace.blocks.size()); ++b) {
+    const BasicBlock& bb = trace.blocks[static_cast<std::size_t>(b)];
+    for (std::size_t i = 0; i < bb.insts.size(); ++i) {
+      const Instruction& inst = bb.insts[i];
+      const OpTiming& t = machine.timing(op_class(inst.op));
+      const NodeId node =
+          g.add_node(to_string(inst), t.exec_time, t.fu_class, /*block=*/b);
+      seq.push_back(Occurrence{&inst, b, /*copy=*/0, node});
+    }
+  }
+
+  if (loop_carried) {
+    const std::size_t body_size = seq.size();
+    for (std::size_t k = 0; k < body_size; ++k) {
+      Occurrence occ = seq[k];
+      occ.copy = 1;
+      seq.push_back(occ);
+    }
+  }
+
+  EdgeSink sink(g);
+  scan(seq, machine, opts, sink);
+  sink.flush();
+  return g;
+}
+
+// The asm parser verbatim from before the string_view rebuild, with three
+// changes.  fail() always throws: the copy is only driven the way
+// parse_program_or_error drove it.  Where the original aborted the process
+// — Instruction::cmp's and ::branch's AIS_CHECKs on a non-condition
+// register — the copy throws Aborted.  And assemble() checks a factory's
+// operands into locals from the last to the first: the original checked
+// them inside the factory's argument list, whose evaluation order C++
+// leaves open; GCC, which built every release, went last to first, so a
+// line with several bad operands named the last one.
+
+const std::map<std::string, Opcode>& opcode_table() {
+  static const std::map<std::string, Opcode> table = {
+      {"LI", Opcode::kLi},     {"MOV", Opcode::kMov},
+      {"ADD", Opcode::kAdd},   {"SUB", Opcode::kSub},
+      {"AND", Opcode::kAnd},   {"OR", Opcode::kOr},
+      {"XOR", Opcode::kXor},   {"SHL", Opcode::kShl},
+      {"SHR", Opcode::kShr},   {"MUL", Opcode::kMul},
+      {"DIV", Opcode::kDiv},   {"LD", Opcode::kLoad},
+      {"LDU", Opcode::kLoadU}, {"ST", Opcode::kStore},
+      {"STU", Opcode::kStoreU},{"FADD", Opcode::kFAdd},
+      {"FMUL", Opcode::kFMul}, {"FDIV", Opcode::kFDiv},
+      {"FMA", Opcode::kFMa},   {"CMP", Opcode::kCmp},
+      {"BT", Opcode::kBt},     {"BF", Opcode::kBf},
+      {"B", Opcode::kB},       {"NOP", Opcode::kNop},
+  };
+  return table;
+}
+
+struct Operand {
+  enum Kind { kReg, kImm, kMem, kLabel } kind;
+  Reg reg{};
+  MemRef mem{};
+  std::string label;
+  std::int64_t imm = 0;
+};
+
+struct ParseError {
+  std::string message;
+};
+struct Aborted {};
+
+[[noreturn]] void fail(int line_no, const std::string& why) {
+  throw ParseError{"line " + std::to_string(line_no) + ": " + why};
+}
+
+std::optional<Reg> try_reg(const std::string& tok) {
+  if (tok.size() < 2) return std::nullopt;
+  RegClass cls;
+  switch (tok[0]) {
+    case 'r': cls = RegClass::kGpr; break;
+    case 'f': cls = RegClass::kFpr; break;
+    case 'c': cls = RegClass::kCr; break;
+    default: return std::nullopt;
+  }
+  for (std::size_t i = 1; i < tok.size(); ++i) {
+    if (!std::isdigit(static_cast<unsigned char>(tok[i]))) return std::nullopt;
+  }
+  const int idx = std::stoi(tok.substr(1));
+  if (idx < 0 || idx > 255) return std::nullopt;
+  return Reg{cls, static_cast<std::uint8_t>(idx)};
+}
+
+bool is_imm(const std::string& tok) {
+  if (tok.empty()) return false;
+  std::size_t i = (tok[0] == '-') ? 1 : 0;
+  if (i == tok.size()) return false;
+  for (; i < tok.size(); ++i) {
+    if (!std::isdigit(static_cast<unsigned char>(tok[i]))) return false;
+  }
+  return true;
+}
+
+Operand parse_operand(const std::string& raw, int line_no) {
+  const std::string tok = trim(raw);
+  if (tok.empty()) fail(line_no, "empty operand");
+
+  const std::size_t lb = tok.find('[');
+  if (lb != std::string::npos) {
+    if (tok.back() != ']') fail(line_no, "unterminated memory operand: " + tok);
+    Operand op;
+    op.kind = Operand::kMem;
+    op.mem.tag = trim(tok.substr(0, lb));
+    std::string inner = tok.substr(lb + 1, tok.size() - lb - 2);
+    int offset = 0;
+    const std::size_t plus = inner.find_first_of("+-");
+    if (plus != std::string::npos && plus > 0) {
+      offset = std::stoi(inner.substr(plus));
+      inner = inner.substr(0, plus);
+    }
+    const auto base = try_reg(trim(inner));
+    if (!base) fail(line_no, "bad memory base register: " + tok);
+    op.mem.base = *base;
+    op.mem.offset = offset;
+    return op;
+  }
+
+  if (const auto reg = try_reg(tok)) {
+    Operand op;
+    op.kind = Operand::kReg;
+    op.reg = *reg;
+    return op;
+  }
+  if (is_imm(tok)) {
+    Operand op;
+    op.kind = Operand::kImm;
+    op.imm = std::stoll(tok);
+    return op;
+  }
+  Operand op;
+  op.kind = Operand::kLabel;
+  op.label = tok;
+  return op;
+}
+
+Instruction checked_cmp(Reg crd, Reg a, std::int64_t imm) {
+  if (crd.cls != RegClass::kCr) throw Aborted{};
+  return Instruction::cmp(crd, a, imm);
+}
+
+Instruction checked_branch(Opcode op, Reg crs, std::string target) {
+  if (crs.cls != RegClass::kCr) throw Aborted{};
+  return Instruction::branch(op, crs, std::move(target));
+}
+
+Instruction assemble(Opcode op, const std::vector<Operand>& ops, int line_no) {
+  auto want_reg = [&](std::size_t i) -> Reg {
+    if (i >= ops.size() || ops[i].kind != Operand::kReg) {
+      fail(line_no, "operand " + std::to_string(i) + " must be a register");
+    }
+    return ops[i].reg;
+  };
+  auto want_mem = [&](std::size_t i) -> MemRef {
+    if (i >= ops.size() || ops[i].kind != Operand::kMem) {
+      fail(line_no, "operand " + std::to_string(i) + " must be a memory ref");
+    }
+    return ops[i].mem;
+  };
+  auto want_label = [&](std::size_t i) -> std::string {
+    if (i >= ops.size() || ops[i].kind != Operand::kLabel) {
+      fail(line_no, "operand " + std::to_string(i) + " must be a label");
+    }
+    return ops[i].label;
+  };
+
+  auto imm_at = [&](std::size_t i) -> std::int64_t {
+    return (i < ops.size() && ops[i].kind == Operand::kImm) ? ops[i].imm : 0;
+  };
+
+  switch (op) {
+    case Opcode::kLi:
+      return Instruction::li(want_reg(0), imm_at(1));
+    case Opcode::kMov: {
+      const Reg s = want_reg(1);
+      return Instruction::mov(want_reg(0), s);
+    }
+    case Opcode::kAdd:
+    case Opcode::kSub:
+    case Opcode::kAnd:
+    case Opcode::kOr:
+    case Opcode::kXor:
+    case Opcode::kShl:
+    case Opcode::kShr:
+    case Opcode::kMul:
+    case Opcode::kDiv:
+    case Opcode::kFAdd:
+    case Opcode::kFMul:
+    case Opcode::kFDiv: {
+      if (ops.size() >= 3 && ops[2].kind == Operand::kReg) {
+        const Reg b = want_reg(2);
+        const Reg a = want_reg(1);
+        return Instruction::alu(op, want_reg(0), a, b);
+      }
+      const Reg a = want_reg(1);
+      return Instruction::alu_imm(op, want_reg(0), a, imm_at(2));
+    }
+    case Opcode::kFMa: {
+      const Reg c = want_reg(3);
+      const Reg b = want_reg(2);
+      const Reg a = want_reg(1);
+      return Instruction::fma(want_reg(0), a, b, c);
+    }
+    case Opcode::kLoad:
+    case Opcode::kLoadU: {
+      MemRef m = want_mem(1);
+      return Instruction::load(want_reg(0), std::move(m),
+                               /*update=*/op == Opcode::kLoadU);
+    }
+    case Opcode::kStore:
+    case Opcode::kStoreU: {
+      const Reg v = want_reg(1);
+      return Instruction::store(want_mem(0), v,
+                                /*update=*/op == Opcode::kStoreU);
+    }
+    case Opcode::kCmp: {
+      const Reg a = want_reg(1);
+      return checked_cmp(want_reg(0), a, imm_at(2));
+    }
+    case Opcode::kBt:
+    case Opcode::kBf: {
+      std::string target = want_label(1);
+      return checked_branch(op, want_reg(0), std::move(target));
+    }
+    case Opcode::kB:
+      return Instruction::jump(want_label(0));
+    case Opcode::kNop:
+      return Instruction::nop();
+  }
+  fail(line_no, "unhandled opcode");
+}
+
+Program parse_program(const std::string& text) {
+  Program prog;
+  int line_no = 0;
+  for (const std::string& raw_line : split(text, '\n')) {
+    ++line_no;
+    std::string line = raw_line;
+    const std::size_t comment = line.find_first_of("#;");
+    if (comment != std::string::npos) line = line.substr(0, comment);
+    line = trim(line);
+    if (line.empty()) continue;
+
+    if (starts_with(line, "block ")) {
+      std::string label = trim(line.substr(6));
+      if (!label.empty() && label.back() == ':') label.pop_back();
+      if (label.empty()) fail(line_no, "block needs a label");
+      prog.blocks.push_back(BasicBlock{label, {}});
+      continue;
+    }
+
+    if (prog.blocks.empty()) prog.blocks.push_back(BasicBlock{"entry", {}});
+
+    const std::size_t sp = line.find_first_of(" \t");
+    const std::string mnemonic =
+        sp == std::string::npos ? line : line.substr(0, sp);
+    const auto it = opcode_table().find(mnemonic);
+    if (it == opcode_table().end()) {
+      fail(line_no, "unknown opcode: " + mnemonic);
+    }
+    std::vector<Operand> operands;
+    if (sp != std::string::npos) {
+      for (const std::string& part : split(line.substr(sp + 1), ',')) {
+        const std::string t = trim(part);
+        if (!t.empty()) operands.push_back(parse_operand(t, line_no));
+      }
+    }
+    prog.blocks.back().insts.push_back(assemble(it->second, operands, line_no));
+  }
+  AIS_CHECK(!prog.blocks.empty(), "empty program");
+  return prog;
+}
+
+/// What the old parse_program_or_error did with `text`.
+struct Outcome {
+  std::optional<Program> program;
+  std::string error;     // its error reply, when it gave one
+  bool aborted = false;  // it terminated the process instead
+};
+
+Outcome parse_program_or_error(const std::string& text) {
+  bool has_content = false;
+  for (const std::string& raw_line : split(text, '\n')) {
+    std::string line = raw_line;
+    const std::size_t comment = line.find_first_of("#;");
+    if (comment != std::string::npos) line = line.substr(0, comment);
+    if (!trim(line).empty()) {
+      has_content = true;
+      break;
+    }
+  }
+  Outcome out;
+  if (!has_content) {
+    out.error = "empty program";
+    return out;
+  }
+  try {
+    out.program = parse_program(text);
+  } catch (const ParseError& e) {
+    out.error = e.message;
+  } catch (const Aborted&) {
+    out.aborted = true;
+  } catch (const std::exception& e) {
+    out.error = std::string("parse error: ") + e.what();
+  }
+  return out;
+}
+
+}  // namespace ref_frontend
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// The shipped assembly: examples/*.s and tests/analysis_corpus/*.s.
+std::vector<std::pair<std::string, std::string>> shipped_asm() {
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const char* dir : {AIS_EXAMPLES_DIR, AIS_ANALYSIS_CORPUS_DIR}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() != ".s") continue;
+      files.emplace_back(entry.path().filename().string(),
+                         read_file(entry.path().string()));
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+std::string render(const std::vector<BasicBlock>& blocks) {
+  std::string text;
+  for (const BasicBlock& bb : blocks) {
+    text += "block " + bb.label + ":\n";
+    for (const Instruction& inst : bb.insts) {
+      text += "  " + ref_frontend::to_string(inst) + "\n";
+    }
+  }
+  return text;
+}
+
+void expect_same_graph(const DepGraph& got, const DepGraph& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes()) << what;
+  for (NodeId id = 0; id < want.num_nodes(); ++id) {
+    EXPECT_EQ(got.name(id).view(), want.name(id).view()) << what << " " << id;
+    EXPECT_EQ(got.exec_times()[id], want.exec_times()[id]) << what << " " << id;
+    EXPECT_EQ(got.fu_classes()[id], want.fu_classes()[id]) << what << " " << id;
+    EXPECT_EQ(got.blocks()[id], want.blocks()[id]) << what << " " << id;
+  }
+  ASSERT_EQ(got.num_edges(), want.num_edges()) << what;
+  for (std::size_t k = 0; k < want.num_edges(); ++k) {
+    const DepEdge& a = got.edge(k);
+    const DepEdge& b = want.edge(k);
+    EXPECT_TRUE(a.from == b.from && a.to == b.to && a.latency == b.latency &&
+                a.distance == b.distance)
+        << what << " edge " << k << ": got " << a.from << "->" << a.to
+        << " <" << a.latency << "," << a.distance << ">, want " << b.from
+        << "->" << b.to << " <" << b.latency << "," << b.distance << ">";
+  }
+}
+
+/// The flat one-pass builder must produce exactly the graph the std::map
+/// builder did — node names, columns and edges in order — for blocks,
+/// traces and loops of random IR on every preset plus one whose stores
+/// carry latency (so a store→load pair also reached by a latency-0 WAR
+/// edge needs the max merge), under both DepBuildOptions switches, with
+/// small to large register pools and no to mostly memory operations
+/// (untagged references included), and for every shipped example.
+TEST(Differential, DepBuildMatchesVerbatimReference) {
+  std::vector<MachineModel> machines = {scalar01(), rs6000_like(),
+                                        deep_pipeline(), vliw4()};
+  MachineModel store_latency = rs6000_like();
+  store_latency.set_timing(OpClass::kStore, {0, 1, 2});
+  machines.push_back(store_latency);
+
+  int graphs = 0;
+  int carried = 0;
+  const auto check = [&](const Trace& trace, const MachineModel& machine,
+                         const DepBuildOptions& opts, const std::string& what) {
+    expect_same_graph(build_trace_graph(trace, machine, opts),
+                      ref_frontend::build(trace, machine, opts, false),
+                      what + " trace");
+    const Loop loop{trace};
+    const DepGraph g = build_loop_graph(loop, machine, opts);
+    carried += g.has_carried_edges();
+    expect_same_graph(g, ref_frontend::build(trace, machine, opts, true),
+                      what + " loop");
+    for (std::size_t b = 0; b < trace.blocks.size(); ++b) {
+      expect_same_graph(
+          build_block_graph(trace.blocks[b], machine, opts),
+          ref_frontend::build(Trace{{trace.blocks[b]}}, machine, opts, false),
+          what + " block " + std::to_string(b));
+    }
+    graphs += 2 + static_cast<int>(trace.blocks.size());
+  };
+
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    for (const bool control : {true, false}) {
+      for (const bool disambiguate : {true, false}) {
+        DepBuildOptions opts;
+        opts.control_deps = control;
+        opts.disambiguate_memory = disambiguate;
+        Prng prng(0xdeb1 + m * 97 + control * 13 + disambiguate * 7);
+        for (const int pool : {3, 6, 16}) {
+          for (const double mem_frac : {0.0, 0.3, 0.9}) {
+            RandomIrParams params;
+            params.num_gprs = pool;
+            params.num_fprs = std::min(pool, 4);
+            params.mem_frac = mem_frac;
+            params.num_insts = static_cast<int>(prng.uniform(4, 16));
+            const std::string what =
+                machines[m].name() + " control=" + std::to_string(control) +
+                " disambiguate=" + std::to_string(disambiguate) +
+                " pool=" + std::to_string(pool) +
+                " mem=" + std::to_string(mem_frac);
+            check(random_ir_trace(prng, params,
+                                  static_cast<int>(prng.uniform(1, 4))),
+                  machines[m], opts, what);
+          }
+        }
+        for (const auto& [name, text] : shipped_asm()) {
+          check(Trace{parse_program(text).blocks}, machines[m], opts, name);
+        }
+      }
+    }
+  }
+  EXPECT_GT(graphs, 1000);
+  EXPECT_GT(carried, 0);
+}
+
+/// The appending renderer must print exactly what the ostringstream one
+/// did: every opcode form, offsets and immediates at their extremes, empty
+/// and non-empty tags, and every register of every file.
+TEST(Differential, InstructionRenderMatchesVerbatimReference) {
+  constexpr std::int64_t kImms[] = {0,
+                                    -1,
+                                    42,
+                                    std::numeric_limits<std::int64_t>::min(),
+                                    std::numeric_limits<std::int64_t>::max()};
+  constexpr int kOffsets[] = {0, -8, 4, std::numeric_limits<int>::min(),
+                              std::numeric_limits<int>::max()};
+  std::vector<Instruction> insts;
+  for (const std::int64_t imm : kImms) {
+    insts.push_back(Instruction::li(gpr(255), imm));
+    insts.push_back(Instruction::cmp(cr(7), gpr(3), imm));
+    for (const Opcode op :
+         {Opcode::kAdd, Opcode::kSub, Opcode::kAnd, Opcode::kOr, Opcode::kXor,
+          Opcode::kShl, Opcode::kShr, Opcode::kMul, Opcode::kDiv,
+          Opcode::kFAdd, Opcode::kFMul, Opcode::kFDiv}) {
+      insts.push_back(Instruction::alu(op, gpr(1), gpr(2), gpr(255)));
+      insts.push_back(Instruction::alu_imm(op, fpr(1), fpr(0), imm));
+    }
+  }
+  for (const int offset : kOffsets) {
+    for (const char* tag : {"", "x", "region.7"}) {
+      for (const bool update : {false, true}) {
+        insts.push_back(
+            Instruction::load(gpr(6), MemRef{gpr(255), offset, tag}, update));
+        insts.push_back(
+            Instruction::store(MemRef{gpr(5), offset, tag}, fpr(255), update));
+      }
+    }
+  }
+  insts.push_back(Instruction::mov(gpr(0), gpr(255)));
+  insts.push_back(Instruction::fma(fpr(1), fpr(2), fpr(3), fpr(255)));
+  insts.push_back(Instruction::branch(Opcode::kBt, cr(1), "CL.1"));
+  insts.push_back(Instruction::branch(Opcode::kBf, cr(255), ""));
+  insts.push_back(Instruction::jump("out"));
+  insts.push_back(Instruction::jump(""));
+  insts.push_back(Instruction::nop());
+
+  std::string appended = "prefix";
+  std::string want = "prefix";
+  for (const Instruction& inst : insts) {
+    EXPECT_EQ(inst.to_string(), ref_frontend::to_string(inst));
+    inst.append_to(appended);
+    want += ref_frontend::to_string(inst);
+  }
+  EXPECT_EQ(appended, want);
+
+  for (const RegClass cls : {RegClass::kGpr, RegClass::kFpr, RegClass::kCr}) {
+    for (int idx = 0; idx <= 255; ++idx) {
+      const Reg r{cls, static_cast<std::uint8_t>(idx)};
+      EXPECT_EQ(r.to_string(), ref_frontend::reg_to_string(r));
+    }
+  }
+}
+
+bool same_instruction(const Instruction& a, const Instruction& b) {
+  const bool same_mem =
+      a.mem.has_value() == b.mem.has_value() &&
+      (!a.mem || (a.mem->base == b.mem->base &&
+                  a.mem->offset == b.mem->offset && a.mem->tag == b.mem->tag));
+  return a.op == b.op && a.defs == b.defs && a.uses == b.uses && same_mem &&
+         a.imm == b.imm && a.target == b.target;
+}
+
+bool same_program(const Program& a, const Program& b) {
+  if (a.blocks.size() != b.blocks.size()) return false;
+  for (std::size_t i = 0; i < a.blocks.size(); ++i) {
+    const BasicBlock& x = a.blocks[i];
+    const BasicBlock& y = b.blocks[i];
+    if (x.label != y.label || x.insts.size() != y.insts.size()) return false;
+    for (std::size_t k = 0; k < x.insts.size(); ++k) {
+      if (!same_instruction(x.insts[k], y.insts[k])) return false;
+    }
+  }
+  return true;
+}
+
+/// Line number of an error reply "line N: ...", or 0.
+int error_line(const std::string& error) {
+  int line = 0;
+  if (std::sscanf(error.c_str(), "line %d: ", &line) != 1) return 0;
+  return line;
+}
+
+/// True when `error` is one of the rejections the stricter grammar added.
+/// `accepted_before`: the old parser took the input, so the message cannot
+/// be one that replaced its exception or abort.
+bool strict_rejection(const std::string& error, bool accepted_before) {
+  const std::size_t colon = error.find(": ");
+  if (error_line(error) == 0 || colon == std::string::npos) return false;
+  const std::string why = error.substr(colon + 2);
+  const auto starts = [&](const char* p) { return why.rfind(p, 0) == 0; };
+  const auto ends = [&](const char* s) {
+    const std::string suffix = s;
+    return why.size() >= suffix.size() &&
+           why.compare(why.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  if (starts("too many operands for ") || starts("bad memory offset: ") ||
+      ends(" must be an immediate") ||
+      ends(" must be a register or an immediate")) {
+    return true;
+  }
+  return !accepted_before &&
+         (starts("memory offset out of range: ") ||
+          starts("immediate out of range: ") ||
+          ends(" must be a condition register"));
+}
+
+/// A register-shaped token too large for a register file: a label now, a
+/// libstdc++ range error before.
+bool oversized_register(const std::string& tok) {
+  return tok.size() > 10 && (tok[0] == 'r' || tok[0] == 'f' || tok[0] == 'c') &&
+         std::all_of(tok.begin() + 1, tok.end(),
+                     [](char c) { return c >= '0' && c <= '9'; });
+}
+
+/// How the new parser's answer relates to the old one's; kMismatch fails.
+enum class Verdict { kSame, kStricter, kWasException, kWasAbort, kMismatch };
+
+Verdict compare_parse(const std::string& text) {
+  const ref_frontend::Outcome want = ref_frontend::parse_program_or_error(text);
+  std::string error;
+  const std::optional<Program> got = parse_program_or_error(text, &error);
+  if (want.aborted) {
+    return !got && strict_rejection(error, false) ? Verdict::kWasAbort
+                                                  : Verdict::kMismatch;
+  }
+  if (want.program) {
+    if (got) return same_program(*got, *want.program) ? Verdict::kSame
+                                                      : Verdict::kMismatch;
+    return strict_rejection(error, true) ? Verdict::kStricter
+                                         : Verdict::kMismatch;
+  }
+  if (want.error.rfind("parse error: ", 0) == 0) {  // a libstdc++ exception
+    if (!got) {
+      return error_line(error) > 0 ? Verdict::kWasException
+                                   : Verdict::kMismatch;
+    }
+    for (const BasicBlock& bb : got->blocks) {
+      for (const Instruction& inst : bb.insts) {
+        if (oversized_register(inst.target)) return Verdict::kWasException;
+      }
+    }
+    return Verdict::kMismatch;
+  }
+  if (!got && error == want.error) return Verdict::kSame;
+  // A stricter rejection on an earlier line preempts the old error.
+  return !got && error_line(error) < error_line(want.error) &&
+                 strict_rejection(error, true)
+             ? Verdict::kStricter
+             : Verdict::kMismatch;
+}
+
+/// One seeded mutation: delete, duplicate or replace a byte, insert one of
+/// the bytes that steer the grammar, or move a register operand to another
+/// register file (which reaches the CMP and branch condition checks).
+std::string mutate(std::string text, Prng& prng) {
+  static constexpr std::string_view kInserts = ",[]+-#0123456789 \r";
+  const auto pick_insert = [&]() -> char {
+    const std::size_t k = prng.index(kInserts.size() + 1);
+    return k == kInserts.size() ? '\0' : kInserts[k];
+  };
+  if (text.empty()) return std::string(1, pick_insert());
+  const std::size_t at = prng.index(text.size());
+  switch (prng.uniform(0, 4)) {
+    case 0:
+      text.erase(at, 1);
+      break;
+    case 1:
+      text.insert(at, 1, text[at]);
+      break;
+    case 2:  // with another byte of the text, or an inserted one
+      text[at] = prng.chance(0.5) ? text[prng.index(text.size())]
+                                  : pick_insert();
+      break;
+    case 3:
+      text.insert(at, 1, pick_insert());
+      break;
+    default: {
+      static constexpr std::string_view kFiles = "rfc";
+      std::vector<std::size_t> regs;  // where register operands start
+      for (std::size_t k = 1; k + 1 < text.size(); ++k) {
+        if ((text[k - 1] == ' ' || text[k - 1] == '[') &&
+            kFiles.find(text[k]) != std::string_view::npos &&
+            std::isdigit(static_cast<unsigned char>(text[k + 1]))) {
+          regs.push_back(k);
+        }
+      }
+      if (!regs.empty()) {
+        text[regs[prng.index(regs.size())]] = kFiles[prng.index(3)];
+      }
+      break;
+    }
+  }
+  return text;
+}
+
+/// The string_view parser must return what the old parser returned — the
+/// same Program, or the same error reply — on the shipped assembly,
+/// rendered random IR and seeded byte mutations of both.  The exceptions
+/// are the inputs the stricter grammar rejects: a malformed number or
+/// offset, an extra operand, a non-immediate in an immediate position, or
+/// a CMP or branch condition outside the condition registers (which
+/// aborted the process before), and the libstdc++ range errors, now an
+/// error naming the line.  Every mutation gets a Program or an error.
+TEST(Differential, AsmParserMatchesVerbatimReference) {
+  std::vector<std::pair<std::string, std::string>> corpus = shipped_asm();
+  for (const auto& [name, text] : corpus) {
+    EXPECT_EQ(compare_parse(text), Verdict::kSame) << name;
+  }
+  Prng prng(0xa5a);
+  for (int i = 0; i < 48; ++i) {
+    RandomIrParams params;
+    params.num_insts = static_cast<int>(prng.uniform(2, 14));
+    params.mem_frac = std::array{0.0, 0.3, 0.9}[i % 3];
+    const std::string what = "random " + std::to_string(i);
+    if (i % 2 == 0) {
+      corpus.emplace_back(
+          what, render(random_ir_trace(prng, params,
+                                       static_cast<int>(prng.uniform(1, 4)))
+                           .blocks));
+    } else {
+      corpus.emplace_back(what,
+                          render(random_ir_loop(prng, params).body.blocks));
+    }
+    EXPECT_EQ(compare_parse(corpus.back().second), Verdict::kSame) << what;
+  }
+
+  std::map<Verdict, int> verdicts;
+  for (const auto& [name, text] : corpus) {
+    for (int k = 0; k < 120; ++k) {
+      std::string mutant = text;
+      const int rounds = static_cast<int>(prng.uniform(1, 3));
+      for (int r = 0; r < rounds; ++r) mutant = mutate(std::move(mutant), prng);
+      const Verdict v = compare_parse(mutant);
+      ++verdicts[v];
+      EXPECT_NE(v, Verdict::kMismatch) << name << " mutant " << k << ":\n"
+                                       << mutant;
+    }
+  }
+  // The corpus reaches every kind of verdict.
+  EXPECT_GT(verdicts[Verdict::kSame], 1000);
+  EXPECT_GT(verdicts[Verdict::kStricter], 0);
+  EXPECT_GT(verdicts[Verdict::kWasException], 0);
+  EXPECT_GT(verdicts[Verdict::kWasAbort], 0);
 }
 
 }  // namespace

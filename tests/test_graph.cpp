@@ -67,6 +67,12 @@ TEST(DepGraph, NameInterningAndIndex) {
   EXPECT_EQ(g.find("load_a"), a0);
   EXPECT_EQ(early.view(), "load_a");
 
+  // reserve() sizes the index ahead, rehashing the names already in it.
+  g.reserve(1000);
+  EXPECT_EQ(g.find("n199"), NodeId{202});
+  EXPECT_EQ(g.find("load_a"), a0);
+  EXPECT_EQ(g.find("missing"), kInvalidNode);
+
   // Copies re-intern: same names and find() results, independent storage.
   const DepGraph copy = g;
   EXPECT_EQ(copy.find("n123"), g.find("n123"));

@@ -92,6 +92,32 @@ TEST(AsmParser, RejectsMalformedInput) {
   EXPECT_DEATH(parse_program("BT c1"), "must be a label");
   EXPECT_DEATH(parse_program("block :"), "block needs a label");
   EXPECT_DEATH(parse_program("ST x[nope+0], r1"), "bad memory base");
+  // Forms once read leniently: a non-immediate in an immediate position
+  // read as 0, trailing junk after an offset, extra operands dropped.
+  EXPECT_DEATH(parse_program("LI r1, foo"),
+               "asm:1: parse error: operand 1 must be an immediate");
+  EXPECT_DEATH(parse_program("CMP c1, r2, bar"),
+               "operand 2 must be an immediate");
+  EXPECT_DEATH(parse_program("ADD r1, r2, 5x"),
+               "operand 2 must be a register or an immediate");
+  EXPECT_DEATH(parse_program("LD r1, x[r2+4junk]"), "bad memory offset");
+  EXPECT_DEATH(parse_program("ADD r1, r2, r3, r4"),
+               "too many operands for ADD: got 4, at most 3");
+  EXPECT_DEATH(parse_program("block a:\nNOP r1"),
+               "asm:2: parse error: too many operands for NOP");
+  // Out-of-range numbers (once a bare libstdc++ "stoi"/"stoll"), and a
+  // CMP or branch condition outside the condition registers (once an
+  // abort inside the instruction factory).
+  EXPECT_DEATH(parse_program("ADD r99999999999, r1, r2"),
+               "operand 0 must be a register");
+  EXPECT_DEATH(parse_program("LD r1, x[r2+99999999999]"),
+               "memory offset out of range");
+  EXPECT_DEATH(parse_program("LI r1, 99999999999999999999"),
+               "immediate out of range");
+  EXPECT_DEATH(parse_program("CMP r1, r2"),
+               "operand 0 must be a condition register");
+  EXPECT_DEATH(parse_program("BT f1, out"),
+               "operand 0 must be a condition register");
 }
 
 TEST(AsmParser, RoundTripsRenderedInstructions) {

@@ -360,7 +360,36 @@ TEST_F(ServerTest, MalformedRequestsGetErrorRepliesNotCrashes) {
       Case{"garbage program", "COMPILE mode=trace\nLI LI LI\n"},
       Case{"bad opcode", "COMPILE\nblock a:\n  QUUX r1, r2\n"},
       Case{"huge register index",
-           "COMPILE\nblock a:\n  LI r99999999999999999999, 1\n"},
+           "COMPILE\nblock a:\n  LI r99999999999999999999, 1\n",
+           "bad IR: line 2: operand 0 must be a register"},
+      // Forms the parser once accepted by rewriting them, or answered with
+      // a bare libstdc++ "stoi"/"stoll", or aborted the daemon on.
+      Case{"label as immediate", "COMPILE\nblock a:\n  LI r1, foo\n",
+           "bad IR: line 2: operand 1 must be an immediate"},
+      Case{"label as compare immediate",
+           "COMPILE\nblock a:\n  CMP c1, r2, bar\n",
+           "bad IR: line 2: operand 2 must be an immediate"},
+      Case{"malformed ALU immediate", "COMPILE\nblock a:\n  ADD r1, r2, 5x\n",
+           "bad IR: line 2: operand 2 must be a register or an immediate"},
+      Case{"junk after offset", "COMPILE\nblock a:\n  LD r1, x[r2+4junk]\n",
+           "bad IR: line 2: bad memory offset: x[r2+4junk]"},
+      Case{"extra operand", "COMPILE\nblock a:\n  ADD r1, r2, r3, r4\n",
+           "bad IR: line 2: too many operands for ADD: got 4, at most 3"},
+      Case{"operand on NOP", "COMPILE\nblock a:\n  NOP r1\n",
+           "bad IR: line 2: too many operands for NOP: got 1, at most 0"},
+      Case{"register index past int",
+           "COMPILE\nblock a:\n  ADD r99999999999, r1, r2\n",
+           "bad IR: line 2: operand 0 must be a register"},
+      Case{"offset past int",
+           "COMPILE\nblock a:\n  LD r1, x[r2+99999999999]\n",
+           "bad IR: line 2: memory offset out of range: x[r2+99999999999]"},
+      Case{"immediate past int64",
+           "COMPILE\nblock a:\n  LI r1, 99999999999999999999\n",
+           "bad IR: line 2: immediate out of range: 99999999999999999999"},
+      Case{"compare into a gpr", "COMPILE\nblock a:\n  CMP r1, r2\n",
+           "bad IR: line 2: operand 0 must be a condition register"},
+      Case{"branch on a gpr", "COMPILE\nblock a:\n  BT r1, a\n",
+           "bad IR: line 2: operand 0 must be a condition register"},
       Case{"file option", "COMPILE file=" + secret + " mode=trace\n",
            "unknown COMPILE option 'file'", token},
   };

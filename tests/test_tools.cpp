@@ -274,6 +274,33 @@ TEST(Aisc, BadInputsExitNonZeroWithoutAborting) {
        "aisc: bad IR: block B: a block must hold at least one instruction\n"},
       {"empty_first_block", "block A:\nblock B:\n  ADD r1, r2, r3\n", "",
        "aisc: bad IR: block A: a block must hold at least one instruction\n"},
+      // Once compiled with immediate 0, offset 4 or dropped operands, or
+      // answered with a bare libstdc++ "stoi"/"stoll", or aborted on.
+      {"label_immediate", "block a:\n  LI r1, foo\n", "",
+       "aisc: bad IR: line 2: operand 1 must be an immediate\n"},
+      {"label_compare_immediate", "block a:\n  CMP c1, r2, bar\n", "",
+       "aisc: bad IR: line 2: operand 2 must be an immediate\n"},
+      {"malformed_alu_immediate", "block a:\n  ADD r1, r2, 5x\n", "",
+       "aisc: bad IR: line 2: operand 2 must be a register or an "
+       "immediate\n"},
+      {"offset_junk", "block a:\n  LD r1, x[r2+4junk]\n", "",
+       "aisc: bad IR: line 2: bad memory offset: x[r2+4junk]\n"},
+      {"extra_operand", "block a:\n  ADD r1, r2, r3, r4\n", "",
+       "aisc: bad IR: line 2: too many operands for ADD: got 4, at most 3\n"},
+      {"nop_operand", "block a:\n  NOP r1\n", "",
+       "aisc: bad IR: line 2: too many operands for NOP: got 1, at most 0\n"},
+      {"huge_register", "block a:\n  ADD r99999999999, r1, r2\n", "",
+       "aisc: bad IR: line 2: operand 0 must be a register\n"},
+      {"huge_offset", "block a:\n  LD r1, x[r2+99999999999]\n", "",
+       "aisc: bad IR: line 2: memory offset out of range: "
+       "x[r2+99999999999]\n"},
+      {"huge_immediate", "block a:\n  LI r1, 99999999999999999999\n", "",
+       "aisc: bad IR: line 2: immediate out of range: "
+       "99999999999999999999\n"},
+      {"compare_into_gpr", "block a:\n  CMP r1, r2\n", "",
+       "aisc: bad IR: line 2: operand 0 must be a condition register\n"},
+      {"branch_on_gpr", "block a:\n  BT r1, a\n", "",
+       "aisc: bad IR: line 2: operand 0 must be a condition register\n"},
   };
   for (const Case& c : cases) {
     const std::string in = write_temp(std::string(c.name) + ".s", c.text);
