@@ -163,8 +163,11 @@ BENCHMARK(BM_ParallelTraces)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 // prefixes and keeps the live set bounded (the paper's intended, roughly
 // per-block-cost regime); dense stall-free blocks never produce a chop
 // point and the live set grows with the trace (degenerate worst case).
-void BM_LookaheadChoppable(benchmark::State& state) {
-  const int blocks = static_cast<int>(state.range(0));
+
+/// The latency-rich regime: `blocks` random blocks of 12 nodes.  Shared by
+/// the bypassed solve and the cache's cold and warm rows, so the three
+/// read against each other.
+DepGraph make_choppable_trace(int blocks) {
   Prng prng(0x7ace + static_cast<std::uint64_t>(blocks));
   RandomTraceParams params;
   params.num_blocks = blocks;
@@ -172,7 +175,12 @@ void BM_LookaheadChoppable(benchmark::State& state) {
   params.block.edge_prob = 0.35;
   params.block.max_latency = 3;
   params.cross_edges = 2;
-  const DepGraph g = random_trace(prng, params);
+  return random_trace(prng, params);
+}
+
+void BM_LookaheadChoppable(benchmark::State& state) {
+  const int blocks = static_cast<int>(state.range(0));
+  const DepGraph g = make_choppable_trace(blocks);
   const MachineModel machine = deep_pipeline();
   const RankScheduler scheduler(g, machine);
   LookaheadOptions opts;
@@ -252,14 +260,7 @@ BENCHMARK(BM_LookaheadUnchoppable)
 /// cold-vs-warm gap is read directly against that bench.
 void BM_ScheduleCacheWarm(benchmark::State& state) {
   const int blocks = static_cast<int>(state.range(0));
-  Prng prng(0x7ace + static_cast<std::uint64_t>(blocks));
-  RandomTraceParams params;
-  params.num_blocks = blocks;
-  params.block.num_nodes = 12;
-  params.block.edge_prob = 0.35;
-  params.block.max_latency = 3;
-  params.cross_edges = 2;
-  const DepGraph g = random_trace(prng, params);
+  const DepGraph g = make_choppable_trace(blocks);
   const MachineModel machine = deep_pipeline();
   const RankScheduler scheduler(g, machine);
   LookaheadOptions opts;
@@ -276,11 +277,37 @@ BENCHMARK(BM_ScheduleCacheWarm)
     ->Range(2, 32)
     ->Complexity();
 
-/// The §5 compile shape the cache exists for: the same loop body scheduled
-/// again and again (wrap-around clone inside one compile, recompiles across
-/// iterations of the bench loop).  Multi-block body so the compile takes
-/// the schedule_loop_trace wrap-around path; latency-rich so the bypassed
-/// solve does real Merge/Delay_Idle/Chop work.
+/// Cold path with the cache on: the same graphs as BM_ScheduleCacheWarm,
+/// but the in-memory tier is cleared before every compile, so each one
+/// builds its key, misses, solves and inserts — what a fresh `aisc` pays.
+/// The clear (16 shard locks, one entry) is inside the timed region.  Read
+/// against BM_LookaheadChoppable (the bypassed solve) for the cache's
+/// cold overhead.
+void BM_ScheduleCacheCold(benchmark::State& state) {
+  const int blocks = static_cast<int>(state.range(0));
+  const DepGraph g = make_choppable_trace(blocks);
+  const MachineModel machine = deep_pipeline();
+  const RankScheduler scheduler(g, machine);
+  LookaheadOptions opts;
+  opts.window = 4;
+  ScheduleCache::global().set_enabled(true);
+  for (auto _ : state) {
+    ScheduleCache::global().clear();
+    benchmark::DoNotOptimize(schedule_trace(scheduler, opts));
+  }
+  ScheduleCache::global().clear();
+  state.SetComplexityN(blocks);
+}
+BENCHMARK(BM_ScheduleCacheCold)
+    ->RangeMultiplier(2)
+    ->Range(2, 32)
+    ->Complexity();
+
+/// A §5 loop compiled again and again: every compile after the first is a
+/// trace-level hit on the whole extended trace (body plus wrap-around
+/// clone).  Multi-block body so the compile takes the schedule_loop_trace
+/// wrap-around path; latency-rich so the bypassed solve does real
+/// Merge/Delay_Idle/Chop work.
 Loop make_bench_loop() {
   std::string text;
   for (const char* label : {"head", "mid1", "mid2", "tail"}) {
@@ -388,6 +415,22 @@ void BM_LoopRepeatedBody_CacheWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LoopRepeatedBody_CacheWarm);
+
+/// The same loop compiled cold with the cache on (cleared before every
+/// compile, inside the timed region): the trace-level miss and insert on
+/// top of BM_LoopRepeatedBody_CacheOff.  The wrap-around clone is a
+/// different trace from the body, so nothing inside one compile hits.
+void BM_LoopRepeatedBody_CacheCold(benchmark::State& state) {
+  const Loop loop = make_bench_loop();
+  const MachineModel machine = deep_pipeline();
+  ScheduleCache::global().set_enabled(true);
+  for (auto _ : state) {
+    ScheduleCache::global().clear();
+    benchmark::DoNotOptimize(schedule(loop, machine, /*window=*/4));
+  }
+  ScheduleCache::global().clear();
+}
+BENCHMARK(BM_LoopRepeatedBody_CacheCold);
 
 /// The §5.2.3 single-block loop compile, shaped like perfbench's
 /// loop_bodies: 256 random-IR loops of 12 instructions on rs6000 at W = 2,

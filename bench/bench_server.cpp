@@ -21,7 +21,11 @@
 //          misses the trace cache.
 //   warm:  one priming round, then --requests requests drawn uniformly
 //          from the body pool — steady-state hits.  The leak gate samples
-//          VmRSS after priming and again after the soak.
+//          VmRSS after priming and again after the soak.  The warm-vs-cold
+//          gate (--min-warm-speedup) compares the exact mean latencies
+//          (histogram sum / count) of the cold and warm phases; their
+//          bucketed p50s move in ~20% steps, too coarse to gate a 3x bar
+//          on, and are reported next to the means.
 //   tcp:   a warm burst over the unix listener and the same burst over the
 //          TCP listener; the gate bounds how much the TCP transport may
 //          cost (--min-tcp-ratio, tcp_rps/unix_rps).
@@ -522,6 +526,14 @@ int main(int argc, char** argv) {
   const double warm_p50 = static_cast<double>(warm_hist.quantile(0.50));
   const double warm_p99 = static_cast<double>(warm_hist.quantile(0.99));
   const double speedup = warm_p50 > 0 ? cold_p50 / warm_p50 : 0.0;
+  const auto mean_us = [](const obs::HistogramSnapshot& h) {
+    return h.count > 0 ? static_cast<double>(h.sum) /
+                             static_cast<double>(h.count)
+                       : 0.0;
+  };
+  const double cold_mean = mean_us(cold_hist);
+  const double warm_mean = mean_us(warm_hist);
+  const double mean_speedup = warm_mean > 0 ? cold_mean / warm_mean : 0.0;
 
   std::printf("bench_server: cold  %llu requests p50=%.0fus p99=%.0fus "
               "(%.1f req/s)\n",
@@ -531,6 +543,9 @@ int main(int argc, char** argv) {
               "(%.1f req/s), p50 speedup %.2fx\n",
               static_cast<unsigned long long>(warm_hist.count), warm_p50,
               warm_p99, warm.rps(), speedup);
+  std::printf("bench_server: means cold=%.1fus warm=%.1fus, "
+              "mean speedup %.2fx (gated)\n",
+              cold_mean, warm_mean, mean_speedup);
   std::printf("bench_server: soak rss growth %.1f MiB "
               "(prime %.1f -> soak %.1f)\n",
               rss_growth_mb,
@@ -566,6 +581,9 @@ int main(int argc, char** argv) {
         << ", \"warm_p99_us\": " << warm_p99
         << ", \"warm_rps\": " << warm.rps()
         << ", \"warm_speedup_p50\": " << speedup
+        << ", \"cold_mean_us\": " << cold_mean
+        << ", \"warm_mean_us\": " << warm_mean
+        << ", \"warm_speedup_mean\": " << mean_speedup
         << ", \"rss_growth_mb\": " << rss_growth_mb
         << ", \"tcp\": {\"unix_rps\": " << unix_burst.rps()
         << ", \"tcp_rps\": " << tcp_burst.rps()
@@ -597,10 +615,11 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(total_errors));
     rc = 1;
   }
-  if (min_warm_speedup > 0 && speedup < min_warm_speedup) {
+  if (min_warm_speedup > 0 && mean_speedup < min_warm_speedup) {
     std::fprintf(stderr,
-                 "bench_server: warm p50 speedup %.2fx below gate %.2fx\n",
-                 speedup, min_warm_speedup);
+                 "bench_server: warm mean speedup %.2fx below gate %.2fx "
+                 "(p50 speedup %.2fx)\n",
+                 mean_speedup, min_warm_speedup, speedup);
     rc = 1;
   }
   if (max_rss_growth_mb > 0 && rss_growth_mb > max_rss_growth_mb) {

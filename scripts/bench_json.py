@@ -143,6 +143,9 @@ def row_from_server(path):
         "warm_p50_us": report["warm_p50_us"],
         "warm_p99_us": report["warm_p99_us"],
         "warm_speedup_p50": report["warm_speedup_p50"],
+        "cold_mean_us": round(report["cold_mean_us"], 1),
+        "warm_mean_us": round(report["warm_mean_us"], 1),
+        "warm_speedup_mean": round(report["warm_speedup_mean"], 3),
         "rss_growth_mb": report["rss_growth_mb"],
         "shard_sweep_rps": {f"c{s['clients']}/s{s['shards']}":
                             round(s["rps"], 1)
@@ -162,7 +165,10 @@ def row_from_server(path):
         row["qos_fifo_factor"] = round(qos["fifo_factor"], 2)
     print(f"ok   server soak: cold p50 {report['cold_p50_us']:.0f}us, "
           f"warm p50 {report['warm_p50_us']:.0f}us "
-          f"({report['warm_speedup_p50']:.1f}x), "
+          f"({report['warm_speedup_p50']:.1f}x); "
+          f"means cold {report['cold_mean_us']:.1f}us, "
+          f"warm {report['warm_mean_us']:.1f}us "
+          f"({report['warm_speedup_mean']:.2f}x, gated); "
           f"rss growth {report['rss_growth_mb']:.1f} MiB")
     if tcp:
         print(f"ok   server tcp: {tcp['tcp_rps']:.0f} req/s vs unix "

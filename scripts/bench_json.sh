@@ -48,10 +48,10 @@ EXAMPLES=$(dirname "$0")/../examples
     --json "$TMP/obs.json" > /dev/null
 
 # Daemon soak: 1e5 warm requests through the socket protocol; the bench
-# gates itself (warm p50 must beat cold p50 by >= 3x, soak RSS growth must
-# stay flat, TCP throughput within 15% of unix, QoS-contended interactive
-# p99 <= 3x uncontended with FIFO measurably worse) and exits nonzero on
-# violation (docs/SERVER.md).
+# gates itself (the warm mean latency, histogram sum / count, must beat the
+# cold mean by >= 3x, soak RSS growth must stay flat, TCP throughput within
+# 15% of unix, QoS-contended interactive p99 <= 3x uncontended with FIFO
+# measurably worse) and exits nonzero on violation (docs/SERVER.md).
 "$BUILD/bench/bench_server" --requests 100000 \
     --min-warm-speedup 3 --max-rss-growth-mb 64 \
     --min-tcp-ratio 0.85 --max-qos-p99-factor 3 --min-fifo-qos-ratio 1.3 \

@@ -3,14 +3,15 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "support/assert.hpp"
 
 namespace ais {
 
-Cfg::Cfg(const Program& prog, double entry_weight)
-    : prog_(prog),
-      taken_probability_(prog.blocks.size(),
+Cfg::Cfg(Program prog, double entry_weight)
+    : prog_(std::move(prog)),
+      taken_probability_(prog_.blocks.size(),
                          std::numeric_limits<double>::quiet_NaN()),
       entry_weight_(entry_weight) {
   AIS_CHECK(!prog_.blocks.empty(), "CFG needs at least one block");

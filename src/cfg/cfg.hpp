@@ -38,8 +38,10 @@ class Cfg {
   ///  * a block without a branch falls through.
   /// Entry is block 0 with weight `entry_weight`; edge weights propagate by
   /// splitting each block's weight across its successors (50/50 for
-  /// conditionals) until overridden by set_branch_probability.
-  explicit Cfg(const Program& prog, double entry_weight = 100.0);
+  /// conditionals) until overridden by set_branch_probability.  Takes the
+  /// program by value: a caller done with its Program moves it in instead
+  /// of paying for a copy of every instruction.
+  explicit Cfg(Program prog, double entry_weight = 100.0);
 
   std::size_t num_blocks() const { return prog_.blocks.size(); }
   const BasicBlock& block(BlockId id) const;

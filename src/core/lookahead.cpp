@@ -58,12 +58,10 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
   const Time huge =
       opts.huge > 0 ? opts.huge : huge_deadline(g, NodeSet::all(g.num_nodes()));
 
-  // The schedule cache memoizes this function at two granularities: the
-  // whole trace and single Lookahead iterations (so repeated bodies hit even
-  // inside one cold trace).  Hits are byte-identical to a fresh solve —
-  // keys only match monotone relabelings of the same instance, and the
-  // recorded counter deltas are replayed — so everything below the probes
-  // is the unchanged algorithm.
+  // The schedule cache memoizes this function per whole trace.  Hits are
+  // byte-identical to a fresh solve — keys only match monotone relabelings
+  // of the same instance, and the recorded counter deltas are replayed — so
+  // everything below the probe is the unchanged algorithm.
   ScheduleCache* cache = ScheduleCache::active();
   CacheInstanceParams params;
   params.machine = &scheduler.machine();
@@ -107,39 +105,6 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
     for (const NodeSet& new_nodes : blocks) {
       if (new_nodes.empty()) continue;
 
-      CacheKey step_key;
-      bool step_hit = false;
-      if (cache != nullptr) {
-        step_key = build_step_key(g, old, new_nodes, deadlines, t_old, params);
-        if (std::optional<StepCacheValue> hit = cache->lookup_step(step_key)) {
-          for (const std::uint32_t dense : hit->emitted) {
-            out.order.push_back(step_key.ids[dense]);
-          }
-          if (!hit->emitted.empty()) ++out.diag.prefixes_emitted;
-          NodeSet suffix(g.num_nodes());
-          last_suffix_order.clear();
-          for (std::size_t i = 0; i < hit->suffix_order.size(); ++i) {
-            const NodeId id = step_key.ids[hit->suffix_order[i]];
-            suffix.insert(id);
-            last_suffix_order.push_back(id);
-            deadlines[id] = hit->suffix_deadlines[i];
-          }
-          // Deadlines of just-emitted nodes go stale here relative to a
-          // fresh solve; nothing reads them again and later step keys only
-          // serialize live (old ∪ new) nodes, so the divergence is inert.
-          old = std::move(suffix);
-          t_old = hit->suffix_makespan;
-          out.diag.merged_makespans.push_back(hit->merged_makespan);
-          obs::CounterRecorder::replay(hit->counter_deltas);
-          obs::CounterRecorder::replay_values(hit->value_samples);
-          step_hit = true;
-        }
-      }
-      if (step_hit) continue;
-
-      obs::CounterRecorder step_rec(cache != nullptr);
-      const std::size_t emitted_before = out.order.size();
-
       Schedule merged(&g, NodeSet(g.num_nodes()), 1);
       if (opts.merge_deadline_caps) {
         MergeResult m = merge_blocks(scheduler, old, new_nodes, deadlines,
@@ -169,7 +134,7 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
         out.order.insert(out.order.end(), c.emitted.begin(), c.emitted.end());
         if (!c.emitted.empty()) ++out.diag.prefixes_emitted;
         // Deterministic shape distribution (no "time." prefix): recorded
-        // into the step value below and replayed on hits, so cached and
+        // into the trace value below and replayed on hits, so cached and
         // fresh runs report identical prefix-length histograms.
         AIS_OBS_VALUE(obs::hist::kChopPrefixLen, c.emitted.size());
         old = std::move(c.suffix);
@@ -184,25 +149,6 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
       last_suffix_order.clear();
       for (const NodeId id : merged.permutation()) {
         if (old.contains(id)) last_suffix_order.push_back(id);
-      }
-
-      if (cache != nullptr) {
-        StepCacheValue value;
-        value.emitted.reserve(out.order.size() - emitted_before);
-        for (std::size_t i = emitted_before; i < out.order.size(); ++i) {
-          value.emitted.push_back(dense_index(step_key, out.order[i]));
-        }
-        value.suffix_order.reserve(last_suffix_order.size());
-        value.suffix_deadlines.reserve(last_suffix_order.size());
-        for (const NodeId id : last_suffix_order) {
-          value.suffix_order.push_back(dense_index(step_key, id));
-          value.suffix_deadlines.push_back(deadlines[id]);
-        }
-        value.suffix_makespan = t_old;
-        value.merged_makespan = out.diag.merged_makespans.back();
-        value.counter_deltas = step_rec.deltas();
-        value.value_samples = step_rec.value_samples();
-        cache->insert_step(step_key, value);
       }
     }
 

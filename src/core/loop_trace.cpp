@@ -3,19 +3,20 @@
 #include "support/assert.hpp"
 
 namespace ais {
+namespace {
 
-LookaheadResult schedule_loop_trace(const DepGraph& g,
-                                    const MachineModel& machine,
-                                    const LookaheadOptions& opts) {
+int num_blocks_of(const DepGraph& g) {
   int num_blocks = 0;
   for (NodeId id = 0; id < g.num_nodes(); ++id) {
     num_blocks = std::max(num_blocks, g.node(id).block + 1);
   }
-  AIS_CHECK(num_blocks >= 2,
-            "loop-trace scheduling needs >= 2 blocks; use loop_single");
+  return num_blocks;
+}
 
-  // Extended graph: the trace plus a clone of BB1 as block m, receiving the
-  // wrapped-around loop-carried edges as loop-independent ones.
+}  // namespace
+
+DepGraph loop_trace_graph(const DepGraph& g) {
+  const int num_blocks = num_blocks_of(g);
   DepGraph ext;
   for (NodeId id = 0; id < g.num_nodes(); ++id) {
     const NodeInfo& n = g.node(id);
@@ -42,7 +43,17 @@ LookaheadResult schedule_loop_trace(const DepGraph& g,
     }
     // distance > 1 or carried into a later block: conservatively ignored.
   }
+  return ext;
+}
 
+LookaheadResult schedule_loop_trace(const DepGraph& g,
+                                    const MachineModel& machine,
+                                    const LookaheadOptions& opts) {
+  const int num_blocks = num_blocks_of(g);
+  AIS_CHECK(num_blocks >= 2,
+            "loop-trace scheduling needs >= 2 blocks; use loop_single");
+
+  const DepGraph ext = loop_trace_graph(g);
   const RankScheduler scheduler(ext, machine);
   LookaheadResult full = schedule_trace(scheduler, opts);
 

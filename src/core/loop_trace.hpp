@@ -14,6 +14,12 @@
 
 namespace ais {
 
+/// The graph schedule_loop_trace runs Algorithm Lookahead on: `g`'s
+/// loop-independent edges plus a clone of BB1 as block m, whose internal
+/// edges follow their originals and which receives the distance-1 edges
+/// into BB1 as loop-independent ones.  Node ids of `g` are unchanged.
+DepGraph loop_trace_graph(const DepGraph& g);
+
 /// Schedules the body of a loop whose trace has >= 2 blocks.  `g` must be a
 /// loop graph (built by build_loop_graph): blocks 0..m-1 plus carried edges.
 /// Carried edges with distance > 1 or targeting blocks other than BB1 are

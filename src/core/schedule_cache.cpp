@@ -12,6 +12,7 @@
 #include <iterator>
 #include <list>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -38,7 +39,6 @@ void put_raw(std::string& b, T v) {
   b.append(buf, sizeof(T));
 }
 
-void put_u8(std::string& b, std::uint8_t v) { put_raw(b, v); }
 void put_u32(std::string& b, std::uint32_t v) { put_raw(b, v); }
 void put_u64(std::string& b, std::uint64_t v) { put_raw(b, v); }
 void put_i64(std::string& b, std::int64_t v) { put_raw(b, v); }
@@ -113,7 +113,6 @@ std::uint64_t hash_bytes(std::string_view bytes) {
 constexpr std::uint64_t kInSalt = 0x8e2a4f7d9c1b3e55ULL;
 constexpr std::uint64_t kOutSalt = 0x41c64e6da3b59f21ULL;
 constexpr char kTraceKind = 'T';
-constexpr char kStepKind = 'S';
 constexpr std::uint32_t kNoBlock = 0xffffffffU;
 
 /// Flag bits of the key prefix's `flags` byte.
@@ -127,10 +126,8 @@ constexpr std::uint8_t kFlagHasTie = 1U << 4U;
 struct DenseNode {
   std::uint32_t exec = 0;
   std::uint32_t fu = 0;
-  std::uint32_t block_pos = 0;  // trace keys
-  std::uint8_t is_new = 0;      // step keys
-  std::int64_t deadline = 0;    // step keys
-  std::int64_t tie = 0;         // when the instance has a tie-break vector
+  std::uint32_t block_pos = 0;
+  std::int64_t tie = 0;  // when the instance has a tie-break vector
 };
 
 struct DenseEdge {
@@ -144,9 +141,9 @@ struct DenseEdge {
 /// accumulation, folded into an order-independent digest.  Invariant under
 /// any isomorphic relabeling of the dense instance (sums and xors commute;
 /// nothing reads a node's positional id).
-std::uint64_t wl_hash(std::uint64_t seed, char kind, bool has_tie,
-                      const DenseNode* nodes, std::size_t n,
-                      const DenseEdge* edges, std::size_t m, Arena& scratch) {
+std::uint64_t wl_hash(std::uint64_t seed, bool has_tie, const DenseNode* nodes,
+                      std::size_t n, const DenseEdge* edges, std::size_t m,
+                      Arena& scratch) {
   std::uint64_t* cur = scratch.alloc_array<std::uint64_t>(n);
   std::uint64_t* nxt = scratch.alloc_array<std::uint64_t>(n);
   std::uint64_t* in_acc = scratch.alloc_array<std::uint64_t>(n);
@@ -157,12 +154,7 @@ std::uint64_t wl_hash(std::uint64_t seed, char kind, bool has_tie,
     std::uint64_t h = mix64(seed ^ ((static_cast<std::uint64_t>(node.exec)
                                      << 32U) |
                                     node.fu));
-    if (kind == kTraceKind) {
-      h = mix64(h ^ node.block_pos);
-    } else {
-      h = mix64(mix64(h ^ node.is_new) ^
-                static_cast<std::uint64_t>(node.deadline));
-    }
+    h = mix64(h ^ node.block_pos);
     if (has_tie) h = mix64(h ^ static_cast<std::uint64_t>(node.tie));
     cur[v] = h;
   }
@@ -212,30 +204,63 @@ std::uint8_t flags_of(const CacheInstanceParams& params, bool has_tie) {
   return flags;
 }
 
-/// The scalar, node-id-free key prefix: kind, versions, the machine
-/// fingerprint (shape and full timing table; names are dropped — scheduling
-/// is name-independent), window, huge horizon and the algorithm switches.
-void serialize_prefix(std::string& b, char kind,
-                      const CacheInstanceParams& params, bool has_tie) {
-  put_u8(b, static_cast<std::uint8_t>(kind));
-  put_u32(b, kScheduleCacheFormatVersion);
-  put_u32(b, kScheduleCacheAlgoVersion);
-  const MachineModel& machine = *params.machine;
-  put_u32(b, static_cast<std::uint32_t>(machine.issue_width()));
-  put_u32(b, static_cast<std::uint32_t>(machine.num_fu_classes()));
-  for (const FuClassInfo& fu : machine.fu_classes()) {
-    put_u32(b, static_cast<std::uint32_t>(fu.count));
+/// Fixed-width field writer over storage the caller sized in advance: the
+/// key builder computes the exact key length first, so writing a field is a
+/// memcpy and a bump, with no capacity check or reallocation.
+class Writer {
+ public:
+  explicit Writer(char* p) : p_(p) {}
+
+  template <typename T>
+  void put(T v) {
+    std::memcpy(p_, &v, sizeof(T));
+    p_ += sizeof(T);
   }
-  put_u32(b, static_cast<std::uint32_t>(kNumOpClasses));
+
+  const char* pos() const { return p_; }
+
+ private:
+  char* p_;
+};
+
+/// Length of the scalar, node-id-free key prefix (everything before the
+/// `n` field): kind + versions, machine shape, timing table, window, huge,
+/// flags and the raw block count.  The structural hash is seeded with it.
+std::size_t prefix_length(std::uint32_t num_classes) {
+  std::size_t len = 1 + 4 + 4;                       // kind + versions
+  len += 4 + 4 + 4ULL * num_classes;                 // machine shape
+  len += 4 + 12ULL * kNumOpClasses;                  // timing table
+  len += 8 + 8 + 1;                                  // window, huge, flags
+  len += 4;                                          // block count
+  return len;
+}
+
+/// Writes the scalar prefix: kind, versions, the machine fingerprint (shape
+/// and full timing table; names are dropped — scheduling is
+/// name-independent), window, huge horizon, the algorithm switches and the
+/// trace's raw block count.
+void write_prefix(Writer& w, const CacheInstanceParams& params, bool has_tie,
+                  std::size_t num_blocks) {
+  w.put(static_cast<std::uint8_t>(kTraceKind));
+  w.put(kScheduleCacheFormatVersion);
+  w.put(kScheduleCacheAlgoVersion);
+  const MachineModel& machine = *params.machine;
+  w.put(static_cast<std::uint32_t>(machine.issue_width()));
+  w.put(static_cast<std::uint32_t>(machine.num_fu_classes()));
+  for (const FuClassInfo& fu : machine.fu_classes()) {
+    w.put(static_cast<std::uint32_t>(fu.count));
+  }
+  w.put(static_cast<std::uint32_t>(kNumOpClasses));
   for (std::size_t cls = 0; cls < kNumOpClasses; ++cls) {
     const OpTiming& t = machine.timing(static_cast<OpClass>(cls));
-    put_u32(b, static_cast<std::uint32_t>(t.fu_class));
-    put_u32(b, static_cast<std::uint32_t>(t.exec_time));
-    put_u32(b, static_cast<std::uint32_t>(t.latency));
+    w.put(static_cast<std::uint32_t>(t.fu_class));
+    w.put(static_cast<std::uint32_t>(t.exec_time));
+    w.put(static_cast<std::uint32_t>(t.latency));
   }
-  put_i64(b, static_cast<std::int64_t>(params.window));
-  put_i64(b, params.huge);
-  put_u8(b, flags_of(params, has_tie));
+  w.put(static_cast<std::int64_t>(params.window));
+  w.put(static_cast<std::int64_t>(params.huge));
+  w.put(flags_of(params, has_tie));
+  w.put(static_cast<std::uint32_t>(num_blocks));
 }
 
 bool params_have_tie(const CacheInstanceParams& params) {
@@ -247,51 +272,16 @@ std::int64_t tie_value(const CacheInstanceParams& params, NodeId id) {
   return static_cast<std::int64_t>(id);
 }
 
-void sort_edges(DenseEdge* edges, std::size_t m) {
-  std::sort(edges, edges + m, [](const DenseEdge& a, const DenseEdge& b) {
-    if (a.from != b.from) return a.from < b.from;
-    if (a.to != b.to) return a.to < b.to;
-    return a.latency < b.latency;
-  });
-}
-
-/// Serializes the node/edge sections shared by both key kinds and computes
-/// the structural hash.  `b` already holds the kind-specific prefix.
-void finish_key(CacheKey& key, char kind, bool has_tie,
-                const DenseNode* nodes, std::size_t n, DenseEdge* edges,
-                std::size_t m, Arena& scratch) {
-  std::string& b = key.bytes;
-  const std::uint64_t seed = hash_bytes(std::string_view(b.data(), b.size()));
-
-  sort_edges(edges, m);
-  put_u32(b, static_cast<std::uint32_t>(n));
-  for (std::size_t v = 0; v < n; ++v) {
-    put_u32(b, nodes[v].exec);
-    put_u32(b, nodes[v].fu);
-    if (kind == kTraceKind) {
-      put_u32(b, nodes[v].block_pos);
-    } else {
-      put_u8(b, nodes[v].is_new);
-      put_i64(b, nodes[v].deadline);
-    }
-  }
-  if (has_tie) {
-    for (std::size_t v = 0; v < n; ++v) put_i64(b, nodes[v].tie);
-  }
-  put_u32(b, static_cast<std::uint32_t>(m));
-  for (std::size_t e = 0; e < m; ++e) {
-    put_u32(b, edges[e].from);
-    put_u32(b, edges[e].to);
-    put_u32(b, edges[e].latency);
-  }
-
-  key.hash = wl_hash(seed, kind, has_tie, nodes, n, edges, m, scratch);
+/// (from, to, latency) order: the order key edges are serialized in.
+bool edge_less(const DenseEdge& a, const DenseEdge& b) {
+  if (a.from != b.from) return a.from < b.from;
+  if (a.to != b.to) return a.to < b.to;
+  return a.latency < b.latency;
 }
 
 /// Decoded form of a key's node/edge sections, for certification and for
 /// recomputing the structural hash in tests.
 struct DecodedKey {
-  char kind = 0;
   bool has_tie = false;
   std::size_t num_nodes = 0;
   std::vector<DenseNode> nodes;
@@ -303,8 +293,7 @@ constexpr std::uint32_t kMaxDecodedCount = 1U << 26U;
 
 bool decode_key(std::string_view bytes, DecodedKey& out) {
   Reader r(bytes);
-  out.kind = static_cast<char>(r.u8());
-  if (out.kind != kTraceKind && out.kind != kStepKind) return false;
+  if (r.u8() != static_cast<std::uint8_t>(kTraceKind)) return false;
   if (r.u32() != kScheduleCacheFormatVersion) return false;
   if (r.u32() != kScheduleCacheAlgoVersion) return false;
   r.u32();  // issue width
@@ -318,11 +307,7 @@ bool decode_key(std::string_view bytes, DecodedKey& out) {
   r.i64();  // huge
   const std::uint8_t flags = r.u8();
   out.has_tie = (flags & kFlagHasTie) != 0;
-  if (out.kind == kTraceKind) {
-    r.u32();  // raw block count
-  } else {
-    r.i64();  // t_old
-  }
+  r.u32();  // raw block count
 
   const std::uint32_t n = r.u32();
   if (!r.ok() || n > kMaxDecodedCount) return false;
@@ -331,12 +316,7 @@ bool decode_key(std::string_view bytes, DecodedKey& out) {
   for (DenseNode& node : out.nodes) {
     node.exec = r.u32();
     node.fu = r.u32();
-    if (out.kind == kTraceKind) {
-      node.block_pos = r.u32();
-    } else {
-      node.is_new = r.u8();
-      node.deadline = r.i64();
-    }
+    node.block_pos = r.u32();
   }
   if (out.has_tie) {
     for (DenseNode& node : out.nodes) node.tie = r.i64();
@@ -353,35 +333,19 @@ bool decode_key(std::string_view bytes, DecodedKey& out) {
   return r.at_end();
 }
 
-/// Offset where the node section starts (end of the seed-hashed prefix):
-/// everything before the `n` field.
-std::size_t prefix_length(char kind, std::uint32_t num_classes) {
-  std::size_t len = 1 + 4 + 4;                       // kind + versions
-  len += 4 + 4 + 4ULL * num_classes;                 // machine shape
-  len += 4 + 12ULL * kNumOpClasses;                  // timing table
-  len += 8 + 8 + 1;                                  // window, huge, flags
-  len += kind == kTraceKind ? 4 : 8;                 // block count / t_old
-  return len;
-}
-
 // --- certification --------------------------------------------------------
 
-/// True iff `order` (dense ids, possibly the concatenation of two runs) is
-/// a permutation of 0..n-1 that places every edge's source before its sink.
-/// O(n + m); the only property a consumer needs for memory safety and for
-/// the tail-end AIS_CHECKs of schedule_trace to pass.
+/// True iff `order` (dense ids) is a permutation of 0..n-1 that places
+/// every edge's source before its sink.  O(n + m); the only property a
+/// consumer needs for memory safety and for the tail-end AIS_CHECKs of
+/// schedule_trace to pass.
 bool order_respects_key(const DecodedKey& dk,
-                        const std::vector<std::uint32_t>& head,
-                        const std::vector<std::uint32_t>& tail) {
+                        const std::vector<std::uint32_t>& order) {
   const std::size_t n = dk.num_nodes;
-  if (head.size() + tail.size() != n) return false;
+  if (order.size() != n) return false;
   std::vector<std::uint32_t> pos(n, kNoBlock);
   std::uint32_t next = 0;
-  for (const std::uint32_t v : head) {
-    if (v >= n || pos[v] != kNoBlock) return false;
-    pos[v] = next++;
-  }
-  for (const std::uint32_t v : tail) {
+  for (const std::uint32_t v : order) {
     if (v >= n || pos[v] != kNoBlock) return false;
     pos[v] = next++;
   }
@@ -393,18 +357,9 @@ bool order_respects_key(const DecodedKey& dk,
 
 bool certify_trace(const CacheKey& key, const TraceCacheValue& value) {
   DecodedKey dk;
-  if (!decode_key(key.bytes, dk) || dk.kind != kTraceKind) return false;
+  if (!decode_key(key.bytes, dk)) return false;
   if (!key.ids.empty() && key.ids.size() != dk.num_nodes) return false;
-  static const std::vector<std::uint32_t> kEmpty;
-  return order_respects_key(dk, value.order, kEmpty);
-}
-
-bool certify_step(const CacheKey& key, const StepCacheValue& value) {
-  DecodedKey dk;
-  if (!decode_key(key.bytes, dk) || dk.kind != kStepKind) return false;
-  if (!key.ids.empty() && key.ids.size() != dk.num_nodes) return false;
-  if (value.suffix_deadlines.size() != value.suffix_order.size()) return false;
-  return order_respects_key(dk, value.emitted, value.suffix_order);
+  return order_respects_key(dk, value.order);
 }
 
 // --- value serialization --------------------------------------------------
@@ -505,30 +460,6 @@ bool decode_trace_value(std::string_view bytes, TraceCacheValue& v) {
   return r.at_end();
 }
 
-std::string encode_step_value(const StepCacheValue& v) {
-  std::string b;
-  put_u32_vec(b, v.emitted);
-  put_u32_vec(b, v.suffix_order);
-  put_time_vec(b, v.suffix_deadlines);
-  put_i64(b, v.suffix_makespan);
-  put_i64(b, v.merged_makespan);
-  put_counters(b, v.counter_deltas);
-  put_samples(b, v.value_samples);
-  return b;
-}
-
-bool decode_step_value(std::string_view bytes, StepCacheValue& v) {
-  Reader r(bytes);
-  if (!read_u32_vec(r, v.emitted)) return false;
-  if (!read_u32_vec(r, v.suffix_order)) return false;
-  if (!read_time_vec(r, v.suffix_deadlines)) return false;
-  v.suffix_makespan = r.i64();
-  v.merged_makespan = r.i64();
-  if (!read_counters(r, v.counter_deltas)) return false;
-  if (!read_samples(r, v.value_samples)) return false;
-  return r.at_end();
-}
-
 // --- disk tier ------------------------------------------------------------
 
 constexpr char kDiskMagic[4] = {'A', 'I', 'S', 'C'};
@@ -620,7 +551,7 @@ thread_local int t_bypass_depth = 0;
 
 }  // namespace
 
-// --- key builders ---------------------------------------------------------
+// --- key builder ----------------------------------------------------------
 
 CacheKey build_trace_key(const DepGraph& g, const std::vector<NodeSet>& blocks,
                          const CacheInstanceParams& params) {
@@ -629,99 +560,85 @@ CacheKey build_trace_key(const DepGraph& g, const std::vector<NodeSet>& blocks,
   Arena& scratch = key_scratch();
   scratch.reset();
 
+  // Block position of every member (its first block), straight from the
+  // sets' bits.
   const std::size_t domain = g.num_nodes();
   std::uint32_t* block_pos = scratch.alloc_array<std::uint32_t>(domain);
   std::fill_n(block_pos, domain, kNoBlock);
+  std::size_t n = 0;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    for (const NodeId id : blocks[b].ids()) {
+    const auto pos = static_cast<std::uint32_t>(b);
+    blocks[b].bits().for_each([&](std::size_t id) {
       if (block_pos[id] == kNoBlock) {
-        block_pos[id] = static_cast<std::uint32_t>(b);
+        block_pos[id] = pos;
+        ++n;
       }
-    }
+    });
   }
-  std::uint32_t* dense_of = scratch.alloc_array<std::uint32_t>(domain);
-  for (NodeId id = 0; id < domain; ++id) {
-    if (block_pos[id] != kNoBlock) {
-      dense_of[id] = static_cast<std::uint32_t>(key.ids.size());
-      key.ids.push_back(id);
-    }
-  }
-  const std::size_t n = key.ids.size();
 
+  // Dense ids in ascending caller-id order, with each node's attributes.
   const bool has_tie = params_have_tie(params);
+  const std::span<const std::int32_t> exec = g.exec_times();
+  const std::span<const std::int32_t> fu = g.fu_classes();
+  std::uint32_t* dense_of = scratch.alloc_array<std::uint32_t>(domain);
   DenseNode* nodes = scratch.alloc_array<DenseNode>(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const NodeId id = key.ids[v];
-    const NodeInfo& info = g.node(id);
-    nodes[v] = DenseNode{};
-    nodes[v].exec = static_cast<std::uint32_t>(info.exec_time);
-    nodes[v].fu = static_cast<std::uint32_t>(info.fu_class);
-    nodes[v].block_pos = block_pos[id];
-    if (has_tie) nodes[v].tie = tie_value(params, id);
+  key.ids.reserve(n);
+  for (NodeId id = 0; id < domain; ++id) {
+    if (block_pos[id] == kNoBlock) continue;
+    const auto v = static_cast<std::uint32_t>(key.ids.size());
+    dense_of[id] = v;
+    key.ids.push_back(id);
+    DenseNode& node = nodes[v];
+    node.exec = static_cast<std::uint32_t>(exec[id]);
+    node.fu = static_cast<std::uint32_t>(fu[id]);
+    node.block_pos = block_pos[id];
+    node.tie = has_tie ? tie_value(params, id) : 0;
   }
 
+  // Induced loop-independent edges in dense ids.  They are usually already
+  // in (from, to, latency) order — build_trace_graph emits them that way —
+  // so the sort runs only when an inversion is seen.
   DenseEdge* edges = scratch.alloc_array<DenseEdge>(g.num_edges());
   std::size_t m = 0;
+  bool sorted = true;
   for (const DepEdge& e : g.edges()) {
     if (e.distance != 0) continue;
     if (block_pos[e.from] == kNoBlock || block_pos[e.to] == kNoBlock) continue;
-    edges[m++] = DenseEdge{dense_of[e.from], dense_of[e.to],
-                           static_cast<std::uint32_t>(e.latency)};
+    edges[m] = DenseEdge{dense_of[e.from], dense_of[e.to],
+                         static_cast<std::uint32_t>(e.latency)};
+    if (m > 0 && edge_less(edges[m], edges[m - 1])) sorted = false;
+    ++m;
   }
+  if (!sorted) std::sort(edges, edges + m, edge_less);
 
-  key.bytes.reserve(256 + n * 12 + m * 12);
-  serialize_prefix(key.bytes, kTraceKind, params, has_tie);
-  put_u32(key.bytes, static_cast<std::uint32_t>(blocks.size()));
-  finish_key(key, kTraceKind, has_tie, nodes, n, edges, m, scratch);
-  return key;
-}
-
-CacheKey build_step_key(const DepGraph& g, const NodeSet& old,
-                        const NodeSet& new_nodes, const DeadlineMap& deadlines,
-                        Time t_old, const CacheInstanceParams& params) {
-  AIS_CHECK(params.machine != nullptr, "cache key needs a machine model");
-  CacheKey key;
-  Arena& scratch = key_scratch();
-  scratch.reset();
-
-  const std::size_t domain = g.num_nodes();
-  std::uint32_t* dense_of = scratch.alloc_array<std::uint32_t>(domain);
-  for (NodeId id = 0; id < domain; ++id) {
-    if (old.contains(id) || new_nodes.contains(id)) {
-      dense_of[id] = static_cast<std::uint32_t>(key.ids.size());
-      key.ids.push_back(id);
-    } else {
-      dense_of[id] = kNoBlock;
-    }
-  }
-  const std::size_t n = key.ids.size();
-
-  const bool has_tie = params_have_tie(params);
-  DenseNode* nodes = scratch.alloc_array<DenseNode>(n);
+  // Serialize: prefix, nodes, tie values, edges — sized once, written in
+  // place.
+  const std::size_t prefix = prefix_length(
+      static_cast<std::uint32_t>(params.machine->num_fu_classes()));
+  key.bytes.resize(prefix + 4 + 12 * n + (has_tie ? 8 * n : 0) + 4 + 12 * m);
+  Writer w(key.bytes.data());
+  write_prefix(w, params, has_tie, blocks.size());
+  w.put(static_cast<std::uint32_t>(n));
   for (std::size_t v = 0; v < n; ++v) {
-    const NodeId id = key.ids[v];
-    const NodeInfo& info = g.node(id);
-    nodes[v] = DenseNode{};
-    nodes[v].exec = static_cast<std::uint32_t>(info.exec_time);
-    nodes[v].fu = static_cast<std::uint32_t>(info.fu_class);
-    nodes[v].is_new = new_nodes.contains(id) ? 1 : 0;
-    nodes[v].deadline = id < deadlines.size() ? deadlines[id] : 0;
-    if (has_tie) nodes[v].tie = tie_value(params, id);
+    w.put(nodes[v].exec);
+    w.put(nodes[v].fu);
+    w.put(nodes[v].block_pos);
   }
-
-  DenseEdge* edges = scratch.alloc_array<DenseEdge>(g.num_edges());
-  std::size_t m = 0;
-  for (const DepEdge& e : g.edges()) {
-    if (e.distance != 0) continue;
-    if (dense_of[e.from] == kNoBlock || dense_of[e.to] == kNoBlock) continue;
-    edges[m++] = DenseEdge{dense_of[e.from], dense_of[e.to],
-                           static_cast<std::uint32_t>(e.latency)};
+  if (has_tie) {
+    for (std::size_t v = 0; v < n; ++v) w.put(nodes[v].tie);
   }
+  w.put(static_cast<std::uint32_t>(m));
+  for (std::size_t e = 0; e < m; ++e) {
+    w.put(edges[e].from);
+    w.put(edges[e].to);
+    w.put(edges[e].latency);
+  }
+  AIS_CHECK(w.pos() == key.bytes.data() + key.bytes.size(),
+            "trace key length drifted from its layout");
 
-  key.bytes.reserve(256 + n * 21 + m * 12);
-  serialize_prefix(key.bytes, kStepKind, params, has_tie);
-  put_i64(key.bytes, t_old);
-  finish_key(key, kStepKind, has_tie, nodes, n, edges, m, scratch);
+  const std::uint64_t seed =
+      hash_bytes(std::string_view(key.bytes.data(), prefix));
+  key.hash = wl_hash(seed, has_tie, nodes, n, edges, m, scratch);
   return key;
 }
 
@@ -738,12 +655,12 @@ std::uint64_t structural_hash(const CacheKey& key) {
     r.u32();
     num_classes = r.u32();
   }
-  const std::size_t prefix = prefix_length(dk.kind, num_classes);
+  const std::size_t prefix = prefix_length(num_classes);
   const std::uint64_t seed =
       hash_bytes(std::string_view(key.bytes.data(), prefix));
   Arena& scratch = key_scratch();
   scratch.reset();
-  return wl_hash(seed, dk.kind, dk.has_tie, dk.nodes.data(), dk.nodes.size(),
+  return wl_hash(seed, dk.has_tie, dk.nodes.data(), dk.nodes.size(),
                  dk.edges.data(), dk.edges.size(), scratch);
 }
 
@@ -809,8 +726,9 @@ struct ScheduleCache::Impl {
   //
   // insert_bytes queues disk writes here instead of writing inline; the
   // flusher thread (started lazily on the first queued write) drains the
-  // map in batches after a short gather delay, so a burst of inserts of
-  // the same key — every wrap-around iteration of a warm loop body —
+  // map in batches after a short gather delay, so the compile never waits
+  // on the file system, and a burst of inserts of the same key — daemon
+  // tenants or cfg-mode traces compiling one body at the same time —
   // costs one file write instead of N (counter cache.disk_write_coalesced
   // tracks the writes saved).  disk_store's atomic tmp+rename publish is
   // unchanged.  flush_disk() / the destructor stop the thread and drain.
@@ -827,8 +745,8 @@ struct ScheduleCache::Impl {
   std::thread flusher_thread AIS_GUARDED_BY(flush_mu);
   std::mutex flusher_lifecycle_mu;  // serializes stop_flusher callers
 
-  /// Gather delay before a batch is written: long enough to coalesce a
-  /// compile's burst of step inserts, short enough to be invisible next to
+  /// Gather delay before a batch is written: long enough to coalesce
+  /// concurrent inserts of one trace, short enough to be invisible next to
   /// a single solve.
   static constexpr std::chrono::microseconds kFlushDelay{2000};
 
@@ -1198,49 +1116,6 @@ void ScheduleCache::insert_trace(const CacheKey& key,
                                  const TraceCacheValue& value) {
   if (!certify_trace(key, value)) return;
   insert_bytes(key, encode_trace_value(value), /*write_disk=*/true);
-}
-
-std::optional<StepCacheValue> ScheduleCache::lookup_step(const CacheKey& key) {
-#if AIS_OBS_ENABLED
-  const std::int64_t start_us = obs::enabled() ? Stopwatch::now_us() : -1;
-  int outcome = Impl::kOutcomeMiss;
-#endif
-  bool from_disk = false;
-  bool ok = true;
-  std::optional<std::string> raw = lookup_bytes(key, &from_disk);
-  StepCacheValue value;
-  if (!raw || !decode_step_value(*raw, value)) {
-    if (raw) erase_bytes(key);
-    AIS_OBS_COUNT(obs::ctr::kCacheMisses);
-    ok = false;
-  } else if (from_disk) {
-    if (!certify_step(key, value)) {
-      AIS_OBS_COUNT(obs::ctr::kCacheMisses);
-      ok = false;
-    } else {
-      insert_bytes(key, std::move(*raw), /*write_disk=*/false);
-      AIS_OBS_COUNT(obs::ctr::kCacheDiskHits);
-#if AIS_OBS_ENABLED
-      outcome = Impl::kOutcomeDiskHit;
-#endif
-    }
-  } else {
-    AIS_OBS_COUNT(obs::ctr::kCacheHits);
-#if AIS_OBS_ENABLED
-    outcome = Impl::kOutcomeHit;
-#endif
-  }
-#if AIS_OBS_ENABLED
-  impl_->note_lookup(key.hash, outcome, start_us);
-#endif
-  if (!ok) return std::nullopt;
-  return value;
-}
-
-void ScheduleCache::insert_step(const CacheKey& key,
-                                const StepCacheValue& value) {
-  if (!certify_step(key, value)) return;
-  insert_bytes(key, encode_step_value(value), /*write_disk=*/true);
 }
 
 }  // namespace ais

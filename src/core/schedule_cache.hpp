@@ -1,13 +1,13 @@
 // Content-addressed schedule cache: memoization in front of the Lookahead
 // solver, with cross-trace reuse and an optional on-disk tier.
 //
-// A scheduling instance — the dependence DAG restricted to the nodes being
-// scheduled, their latencies and deadlines, the machine shape, the window W
-// and the algorithm switches — is serialized into a canonical key; the cache
-// maps that key to the solver's result so an identical instance (the same
-// block re-scheduled on every wrap-around iteration of a §5 loop trace, the
-// repeated bodies of an unrolled kernel, the same file recompiled) skips the
-// entire RankSession solve and replays the stored answer.
+// A scheduling instance — one whole schedule_trace() run: the dependence DAG
+// restricted to the trace's nodes, their latencies and block positions, the
+// machine shape, the window W and the algorithm switches — is serialized
+// into a canonical key; the cache maps that key to the solver's result so an
+// identical trace (the same file recompiled, the same body sent to aisd
+// again, a monotone relabeling of it reached through another CFG path)
+// skips the entire Lookahead solve and replays the stored answer.
 //
 // Canonical form and the byte-identity contract
 // ---------------------------------------------
@@ -31,12 +31,11 @@
 // the differential tests see identical numbers with the cache on or off —
 // only the `cache.*` counters themselves differ.
 //
-// Two entry kinds share the cache:
-//  * Trace ('T'): one whole schedule_trace() result — order, diagnostics,
-//    counter deltas.
-//  * Step ('S'): one Lookahead iteration (merge + Delay_Idle_Slots + chop)
-//    keyed on the live (old, new, deadlines, t_old) state, so repeated
-//    bodies hit even inside a single cold trace and across different traces.
+// There is one entry kind, the whole trace ('T'): order, diagnostics and
+// counter deltas of one schedule_trace() result.  Single Lookahead
+// iterations are not cached: a per-iteration level hit on no measured
+// workload, yet cost a key build, a certificate and an insert per block
+// (docs/CACHING.md).
 //
 // Every entry carries a self-contained dependence certificate — the stored
 // order is checked against the key's own edge list at insert and again on
@@ -58,7 +57,6 @@
 #include <string>
 #include <vector>
 
-#include "core/deadlines.hpp"
 #include "graph/depgraph.hpp"
 #include "graph/nodeset.hpp"
 #include "machine/machine_model.hpp"
@@ -77,7 +75,8 @@ inline constexpr std::uint32_t kScheduleCacheAlgoVersion = 3;
 /// Bump when the key or value serialization layout changes.
 /// v3: values grew per-name histogram sample lists (value_samples).
 /// v4: the key prefix lost its 8-byte Merge fill-depth cap field.
-inline constexpr std::uint32_t kScheduleCacheFormatVersion = 4;
+/// v5: the step ('S') entry kind is gone; 'T' is the only key kind.
+inline constexpr std::uint32_t kScheduleCacheFormatVersion = 5;
 
 /// A canonical scheduling-instance key plus the remap table for its hits.
 struct CacheKey {
@@ -121,26 +120,12 @@ struct TraceCacheValue {
   ValueSampleMap value_samples;
 };
 
-/// One Lookahead iteration outcome, in dense ids.
-struct StepCacheValue {
-  std::vector<std::uint32_t> emitted;       // chop prefix, emission order
-  std::vector<std::uint32_t> suffix_order;  // suffix, merged-schedule order
-  std::vector<Time> suffix_deadlines;       // rebased, aligned with above
-  Time suffix_makespan = 0;                 // next iteration's t_old
-  Time merged_makespan = 0;                 // diagnostics entry
-  CounterDeltaMap counter_deltas;
-  ValueSampleMap value_samples;
-};
-
-/// Key for a whole trace: `blocks` in iteration order over `g`.
+/// Key for a whole trace: `blocks` in iteration order over `g`.  One flat
+/// pass: the bytes are sized once and written in place, and the edge sort
+/// is skipped when `g` already lists the induced edges in key order (every
+/// graph build_trace_graph makes does).
 CacheKey build_trace_key(const DepGraph& g, const std::vector<NodeSet>& blocks,
                          const CacheInstanceParams& params);
-
-/// Key for one Lookahead iteration: live suffix `old`, incoming block
-/// `new_nodes`, their current `deadlines` and the suffix makespan `t_old`.
-CacheKey build_step_key(const DepGraph& g, const NodeSet& old,
-                        const NodeSet& new_nodes, const DeadlineMap& deadlines,
-                        Time t_old, const CacheInstanceParams& params);
 
 /// Structural hash of `key` recomputed from scratch — exposed for tests
 /// (invariance under isomorphic relabeling); equals key.hash.
@@ -204,8 +189,6 @@ class ScheduleCache {
 
   std::optional<TraceCacheValue> lookup_trace(const CacheKey& key);
   void insert_trace(const CacheKey& key, const TraceCacheValue& value);
-  std::optional<StepCacheValue> lookup_step(const CacheKey& key);
-  void insert_step(const CacheKey& key, const StepCacheValue& value);
 
   static constexpr std::size_t kDefaultCapacityBytes = 64u << 20;
   /// Default shard count; see set_shard_count.
@@ -214,9 +197,9 @@ class ScheduleCache {
 
  private:
   struct Impl;
-  /// Raw serialized-value lookup/insert/erase shared by both kinds.
-  /// lookup_bytes consults memory, then disk; *from_disk tells the caller
-  /// whether the bytes still need certification and in-memory promotion.
+  /// Raw serialized-value lookup/insert/erase.  lookup_bytes consults
+  /// memory, then disk; *from_disk tells the caller whether the bytes still
+  /// need certification and in-memory promotion.
   std::optional<std::string> lookup_bytes(const CacheKey& key,
                                           bool* from_disk);
   void insert_bytes(const CacheKey& key, std::string value, bool write_disk);

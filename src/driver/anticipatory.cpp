@@ -17,7 +17,10 @@ std::vector<BasicBlock> reorder_blocks(
     const Trace& trace, const std::vector<std::vector<NodeId>>& per_block) {
   AIS_OBS_SPAN("emit");
   // Flatten the original instructions in numbering order.
+  std::size_t total = 0;
+  for (const BasicBlock& bb : trace.blocks) total += bb.insts.size();
   std::vector<const Instruction*> flat;
+  flat.reserve(total);
   for (const BasicBlock& bb : trace.blocks) {
     for (const Instruction& inst : bb.insts) flat.push_back(&inst);
   }
@@ -25,9 +28,11 @@ std::vector<BasicBlock> reorder_blocks(
   std::vector<BasicBlock> out;
   AIS_CHECK(per_block.size() == trace.blocks.size(),
             "per-block orders do not match the trace");
+  out.reserve(per_block.size());
   for (std::size_t b = 0; b < per_block.size(); ++b) {
     BasicBlock bb;
     bb.label = trace.blocks[b].label;
+    bb.insts.reserve(per_block[b].size());
     for (const NodeId id : per_block[b]) {
       AIS_CHECK(id < flat.size(), "node id out of range");
       bb.insts.push_back(*flat[id]);

@@ -133,7 +133,7 @@ void compile_ir(const std::string& ir_text, const CompileOptions& options,
   obs::CounterRecorder recorder(options.profile);
 
   if (options.mode == "cfg") {
-    const Cfg cfg(*prog);
+    const Cfg cfg(std::move(*prog));
     const CompiledProgram compiled = compile_program(
         cfg, *machine, options.window, options.verify, options.jobs);
     emit(compiled.program.blocks, &scratch.asm_text);

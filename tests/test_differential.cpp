@@ -1,6 +1,7 @@
 // Differential properties for the optimized Rank/Merge/Move_Idle hot path,
-// the memoized §5.2.3 loop candidate search and the IR front end (the
-// renderer, the dependence builder and the asm parser).
+// the memoized §5.2.3 loop candidate search, the IR front end (the
+// renderer, the dependence builder and the asm parser) and the schedule
+// cache's one-pass trace key.
 //
 // The session-cached scheduler (closure reuse, incremental reranks, the
 // persistent by-rank ordering, the packed-key sort, the ready-queue greedy
@@ -13,7 +14,9 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -33,6 +36,7 @@
 #include "core/deadlines.hpp"
 #include "core/lookahead.hpp"
 #include "core/loop_single.hpp"
+#include "core/loop_trace.hpp"
 #include "core/merge.hpp"
 #include "core/move_idle.hpp"
 #include "core/rank.hpp"
@@ -46,6 +50,7 @@
 #include "machine/machine_model.hpp"
 #include "obs/obs.hpp"
 #include "sim/loop_sim.hpp"
+#include "support/arena.hpp"
 #include "support/assert.hpp"
 #include "support/prng.hpp"
 #include "support/str.hpp"
@@ -1319,10 +1324,10 @@ void expect_same_lookahead(const LookaheadResult& got,
 }
 
 /// The schedule cache must be output-invisible: every trace compile with
-/// the cache on — cold misses, warm trace hits, step hits inside cold
-/// traces — produces byte-identical schedules, diagnostics and counter
-/// deltas (cache.* excluded by the recorder) to a bypassed solve.  Seeds
-/// repeat so the sequence genuinely contains trace- and step-level hits.
+/// the cache on — cold misses and warm trace hits — produces byte-identical
+/// schedules, diagnostics and counter deltas (cache.* excluded by the
+/// recorder) to a bypassed solve.  Seeds repeat so the sequence genuinely
+/// contains trace-level hits.
 TEST(Differential, CacheOnMatchesCacheOffSerial) {
   ScheduleCache& cache = ScheduleCache::global();
   const bool was_enabled = cache.enabled();
@@ -2444,6 +2449,361 @@ TEST(Differential, AsmParserMatchesVerbatimReference) {
   EXPECT_GT(verdicts[Verdict::kStricter], 0);
   EXPECT_GT(verdicts[Verdict::kWasException], 0);
   EXPECT_GT(verdicts[Verdict::kWasAbort], 0);
+}
+
+// ---------------------------------------------------------------------------
+// The schedule cache's trace key: one flat pass against the append builder.
+// ---------------------------------------------------------------------------
+
+/// build_trace_key verbatim from before the flat pass: every field appended
+/// through put_raw, the edges sorted unconditionally, the structural hash
+/// seeded with the appended prefix.  The helpers are the originals with
+/// the step-key branches (dead for a trace key) dropped.
+namespace ref_cache_key {
+
+template <typename T>
+void put_raw(std::string& b, T v) {
+  char buf[sizeof(T)];
+  std::memcpy(buf, &v, sizeof(T));
+  b.append(buf, sizeof(T));
+}
+
+void put_u8(std::string& b, std::uint8_t v) { put_raw(b, v); }
+void put_u32(std::string& b, std::uint32_t v) { put_raw(b, v); }
+void put_i64(std::string& b, std::int64_t v) { put_raw(b, v); }
+
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t hash_bytes(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kInSalt = 0x8e2a4f7d9c1b3e55ULL;
+constexpr std::uint64_t kOutSalt = 0x41c64e6da3b59f21ULL;
+constexpr char kTraceKind = 'T';
+constexpr std::uint32_t kNoBlock = 0xffffffffU;
+
+constexpr std::uint8_t kFlagDelayIdle = 1U << 0U;
+constexpr std::uint8_t kFlagMergeCaps = 1U << 1U;
+constexpr std::uint8_t kFlagDoChop = 1U << 2U;
+constexpr std::uint8_t kFlagSplitLongOps = 1U << 3U;
+constexpr std::uint8_t kFlagHasTie = 1U << 4U;
+
+struct DenseNode {
+  std::uint32_t exec = 0;
+  std::uint32_t fu = 0;
+  std::uint32_t block_pos = 0;
+  std::int64_t tie = 0;
+};
+
+struct DenseEdge {
+  std::uint32_t from = 0;
+  std::uint32_t to = 0;
+  std::uint32_t latency = 0;
+};
+
+std::uint64_t wl_hash(std::uint64_t seed, bool has_tie, const DenseNode* nodes,
+                      std::size_t n, const DenseEdge* edges, std::size_t m,
+                      Arena& scratch) {
+  std::uint64_t* cur = scratch.alloc_array<std::uint64_t>(n);
+  std::uint64_t* nxt = scratch.alloc_array<std::uint64_t>(n);
+  std::uint64_t* in_acc = scratch.alloc_array<std::uint64_t>(n);
+  std::uint64_t* out_acc = scratch.alloc_array<std::uint64_t>(n);
+
+  for (std::size_t v = 0; v < n; ++v) {
+    const DenseNode& node = nodes[v];
+    std::uint64_t h = mix64(seed ^ ((static_cast<std::uint64_t>(node.exec)
+                                     << 32U) |
+                                    node.fu));
+    h = mix64(h ^ node.block_pos);
+    if (has_tie) h = mix64(h ^ static_cast<std::uint64_t>(node.tie));
+    cur[v] = h;
+  }
+
+  for (int round = 0; round < 2; ++round) {
+    std::fill_n(in_acc, n, std::uint64_t{0});
+    std::fill_n(out_acc, n, std::uint64_t{0});
+    for (std::size_t e = 0; e < m; ++e) {
+      const DenseEdge& edge = edges[e];
+      const std::uint64_t lat = mix64(edge.latency);
+      out_acc[edge.from] += mix64(cur[edge.to] ^ lat ^ kOutSalt);
+      in_acc[edge.to] += mix64(cur[edge.from] ^ lat ^ kInSalt);
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      nxt[v] = mix64(cur[v] + 3 * mix64(in_acc[v]) + 5 * mix64(out_acc[v]));
+    }
+    std::swap(cur, nxt);
+  }
+
+  std::uint64_t sum = 0;
+  std::uint64_t xored = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint64_t h = mix64(cur[v]);
+    sum += h;
+    xored ^= h;
+  }
+  return mix64(seed ^ sum) ^
+         mix64(xored + (static_cast<std::uint64_t>(n) << 32U) + m);
+}
+
+std::uint8_t flags_of(const CacheInstanceParams& params, bool has_tie) {
+  std::uint8_t flags = 0;
+  if (params.delay_idle) flags |= kFlagDelayIdle;
+  if (params.merge_deadline_caps) flags |= kFlagMergeCaps;
+  if (params.do_chop) flags |= kFlagDoChop;
+  if (params.split_long_ops) flags |= kFlagSplitLongOps;
+  if (has_tie) flags |= kFlagHasTie;
+  return flags;
+}
+
+void serialize_prefix(std::string& b, char kind,
+                      const CacheInstanceParams& params, bool has_tie) {
+  put_u8(b, static_cast<std::uint8_t>(kind));
+  put_u32(b, kScheduleCacheFormatVersion);
+  put_u32(b, kScheduleCacheAlgoVersion);
+  const MachineModel& machine = *params.machine;
+  put_u32(b, static_cast<std::uint32_t>(machine.issue_width()));
+  put_u32(b, static_cast<std::uint32_t>(machine.num_fu_classes()));
+  for (const FuClassInfo& fu : machine.fu_classes()) {
+    put_u32(b, static_cast<std::uint32_t>(fu.count));
+  }
+  put_u32(b, static_cast<std::uint32_t>(kNumOpClasses));
+  for (std::size_t cls = 0; cls < kNumOpClasses; ++cls) {
+    const OpTiming& t = machine.timing(static_cast<OpClass>(cls));
+    put_u32(b, static_cast<std::uint32_t>(t.fu_class));
+    put_u32(b, static_cast<std::uint32_t>(t.exec_time));
+    put_u32(b, static_cast<std::uint32_t>(t.latency));
+  }
+  put_i64(b, static_cast<std::int64_t>(params.window));
+  put_i64(b, params.huge);
+  put_u8(b, flags_of(params, has_tie));
+}
+
+bool params_have_tie(const CacheInstanceParams& params) {
+  return params.tie_break != nullptr && !params.tie_break->empty();
+}
+
+std::int64_t tie_value(const CacheInstanceParams& params, NodeId id) {
+  if (id < params.tie_break->size()) return (*params.tie_break)[id];
+  return static_cast<std::int64_t>(id);
+}
+
+void sort_edges(DenseEdge* edges, std::size_t m) {
+  std::sort(edges, edges + m, [](const DenseEdge& a, const DenseEdge& b) {
+    if (a.from != b.from) return a.from < b.from;
+    if (a.to != b.to) return a.to < b.to;
+    return a.latency < b.latency;
+  });
+}
+
+void finish_key(CacheKey& key, bool has_tie, const DenseNode* nodes,
+                std::size_t n, DenseEdge* edges, std::size_t m,
+                Arena& scratch) {
+  std::string& b = key.bytes;
+  const std::uint64_t seed = hash_bytes(std::string_view(b.data(), b.size()));
+
+  sort_edges(edges, m);
+  put_u32(b, static_cast<std::uint32_t>(n));
+  for (std::size_t v = 0; v < n; ++v) {
+    put_u32(b, nodes[v].exec);
+    put_u32(b, nodes[v].fu);
+    put_u32(b, nodes[v].block_pos);
+  }
+  if (has_tie) {
+    for (std::size_t v = 0; v < n; ++v) put_i64(b, nodes[v].tie);
+  }
+  put_u32(b, static_cast<std::uint32_t>(m));
+  for (std::size_t e = 0; e < m; ++e) {
+    put_u32(b, edges[e].from);
+    put_u32(b, edges[e].to);
+    put_u32(b, edges[e].latency);
+  }
+
+  key.hash = wl_hash(seed, has_tie, nodes, n, edges, m, scratch);
+}
+
+CacheKey build_trace_key(const DepGraph& g, const std::vector<NodeSet>& blocks,
+                         const CacheInstanceParams& params) {
+  CacheKey key;
+  Arena scratch;
+
+  const std::size_t domain = g.num_nodes();
+  std::uint32_t* block_pos = scratch.alloc_array<std::uint32_t>(domain);
+  std::fill_n(block_pos, domain, kNoBlock);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    for (const NodeId id : blocks[b].ids()) {
+      if (block_pos[id] == kNoBlock) {
+        block_pos[id] = static_cast<std::uint32_t>(b);
+      }
+    }
+  }
+  std::uint32_t* dense_of = scratch.alloc_array<std::uint32_t>(domain);
+  for (NodeId id = 0; id < domain; ++id) {
+    if (block_pos[id] != kNoBlock) {
+      dense_of[id] = static_cast<std::uint32_t>(key.ids.size());
+      key.ids.push_back(id);
+    }
+  }
+  const std::size_t n = key.ids.size();
+
+  const bool has_tie = params_have_tie(params);
+  DenseNode* nodes = scratch.alloc_array<DenseNode>(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const NodeId id = key.ids[v];
+    const NodeInfo& info = g.node(id);
+    nodes[v] = DenseNode{};
+    nodes[v].exec = static_cast<std::uint32_t>(info.exec_time);
+    nodes[v].fu = static_cast<std::uint32_t>(info.fu_class);
+    nodes[v].block_pos = block_pos[id];
+    if (has_tie) nodes[v].tie = tie_value(params, id);
+  }
+
+  DenseEdge* edges = scratch.alloc_array<DenseEdge>(g.num_edges());
+  std::size_t m = 0;
+  for (const DepEdge& e : g.edges()) {
+    if (e.distance != 0) continue;
+    if (block_pos[e.from] == kNoBlock || block_pos[e.to] == kNoBlock) continue;
+    edges[m++] = DenseEdge{dense_of[e.from], dense_of[e.to],
+                           static_cast<std::uint32_t>(e.latency)};
+  }
+
+  key.bytes.reserve(256 + n * 12 + m * 12);
+  serialize_prefix(key.bytes, kTraceKind, params, has_tie);
+  put_u32(key.bytes, static_cast<std::uint32_t>(blocks.size()));
+  finish_key(key, has_tie, nodes, n, edges, m, scratch);
+  return key;
+}
+
+}  // namespace ref_cache_key
+
+/// True when g's loop-independent edges are listed in (from, to) order.
+bool edges_from_to_sorted(const DepGraph& g) {
+  const DepEdge* prev = nullptr;
+  for (const DepEdge& e : g.edges()) {
+    if (e.distance != 0) continue;
+    if (prev != nullptr &&
+        std::tie(e.from, e.to) < std::tie(prev->from, prev->to)) {
+      return false;
+    }
+    prev = &e;
+  }
+  return true;
+}
+
+/// The one-pass trace key must equal the append-and-sort builder's — key
+/// bytes, structural hash and dense-to-caller ids — on random IR traces
+/// (4 x 12 and 4 x 24) and their loop graphs, random_trace graphs, the
+/// schedule_loop_trace graph (loop_trace_graph: the body plus its
+/// wrap-around clone, whose edges are out of (from, to) order) of each,
+/// and every shipped example, on
+/// all four presets, with and without a tie-break vector (full length and
+/// shorter than the graph), over all blocks or a prefix of them, and under
+/// varied windows, horizons and algorithm switches.  The inputs must
+/// include edge lists out of (from, to) order, where the sort does work.
+TEST(Differential, CacheKeyMatchesVerbatimReference) {
+  const std::vector<MachineModel> machines = {scalar01(), rs6000_like(),
+                                              deep_pipeline(), vliw4()};
+  Prng prng(0xcac4e7);
+  int keys = 0;
+  int unsorted = 0;
+  int with_tie = 0;
+
+  const auto check_graph = [&](const DepGraph& g, const MachineModel& machine,
+                               const std::string& what) {
+    if (g.num_nodes() == 0) return;
+    unsorted += edges_from_to_sorted(g) ? 0 : 1;
+    const std::vector<NodeSet> all = blocks_of(g);
+    std::vector<std::vector<NodeSet>> block_lists = {all};
+    if (all.size() > 1) {
+      block_lists.emplace_back(all.begin(), all.end() - 1);
+    }
+    std::vector<int> full_tie(g.num_nodes());
+    for (int& t : full_tie) t = static_cast<int>(prng.uniform(0, 8));
+    std::vector<int> short_tie(full_tie.begin(),
+                               full_tie.begin() + full_tie.size() / 2);
+    const std::vector<int> no_tie;
+    for (const std::vector<NodeSet>& blocks : block_lists) {
+      for (const std::vector<int>* tie :
+           std::array<const std::vector<int>*, 3>{&no_tie, &full_tie,
+                                                  &short_tie}) {
+        CacheInstanceParams params;
+        params.machine = &machine;
+        params.window = static_cast<int>(prng.uniform(1, 8));
+        params.huge = static_cast<Time>(prng.uniform(1, 1 << 20));
+        params.delay_idle = prng.uniform(0, 1) == 1;
+        params.merge_deadline_caps = prng.uniform(0, 1) == 1;
+        params.do_chop = prng.uniform(0, 1) == 1;
+        params.split_long_ops = prng.uniform(0, 1) == 1;
+        params.tie_break = tie;
+        const CacheKey got = build_trace_key(g, blocks, params);
+        const CacheKey want = ref_cache_key::build_trace_key(g, blocks, params);
+        const std::string where = what + " blocks=" +
+                                  std::to_string(blocks.size()) +
+                                  " tie=" + std::to_string(tie->size());
+        EXPECT_EQ(got.bytes, want.bytes) << where;
+        EXPECT_EQ(got.hash, want.hash) << where;
+        EXPECT_EQ(got.ids, want.ids) << where;
+        EXPECT_EQ(structural_hash(got), got.hash) << where;
+        ++keys;
+        with_tie += tie->empty() ? 0 : 1;
+      }
+    }
+  };
+  const auto check_trace = [&](const Trace& trace, const MachineModel& machine,
+                               const std::string& what) {
+    const DepGraph g = build_trace_graph(trace, machine);
+    check_graph(g, machine, what + " trace");
+    check_graph(build_loop_graph(Loop{trace}, machine), machine,
+                what + " loop");
+    if (trace.blocks.size() >= 2) {
+      check_graph(loop_trace_graph(build_loop_graph(Loop{trace}, machine)),
+                  machine, what + " loop-trace clone");
+    }
+  };
+
+  for (const MachineModel& machine : machines) {
+    for (const int insts : {12, 24}) {
+      for (int i = 0; i < 6; ++i) {
+        RandomIrParams ir;
+        ir.num_insts = insts;
+        if (i % 2 == 1) {
+          ir.num_gprs = 16;
+          ir.mem_frac = 0.1;
+        }
+        check_trace(random_ir_trace(prng, ir, 4), machine,
+                    machine.name() + " ir 4x" + std::to_string(insts) + " #" +
+                        std::to_string(i));
+      }
+    }
+    for (int i = 0; i < 6; ++i) {
+      RandomTraceParams params;
+      params.num_blocks = static_cast<int>(prng.uniform(2, 5));
+      params.block.num_nodes = static_cast<int>(prng.uniform(4, 16));
+      params.block.edge_prob = 0.3;
+      params.block.max_latency = static_cast<int>(prng.uniform(1, 3));
+      params.cross_edges = 2;
+      const DepGraph g = random_trace(prng, params);
+      check_graph(g, machine, machine.name() + " random_trace");
+      check_graph(loop_trace_graph(g), machine,
+                  machine.name() + " random_trace clone");
+    }
+    for (const auto& [name, text] : shipped_asm()) {
+      check_trace(Trace{parse_program(text).blocks}, machine, name);
+    }
+  }
+  EXPECT_GT(keys, 1000);
+  EXPECT_GT(with_tie, 0);
+  EXPECT_GT(unsorted, 0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the content-addressed schedule cache: canonical key
 // semantics (monotone-relabeling equality, relabeling-invariant structural
-// hash), round trips of both entry kinds, the dependence certificate, LRU
+// hash), the trace entry's round trip, the dependence certificate, LRU
 // eviction, the disk tier's validation, and cross-trace reuse end to end.
 #include <gtest/gtest.h>
 
@@ -170,37 +170,6 @@ TEST(ScheduleCache, TraceValueRoundTrip) {
   EXPECT_EQ(hit->counter_deltas, v.counter_deltas);
 }
 
-TEST(ScheduleCache, StepValueRoundTrip) {
-  ScheduleCache cache;
-  const MachineModel machine = scalar01();
-  const DepGraph g = diamond();
-  const NodeSet old(4, {2, 3});
-  const NodeSet fresh(4, {0, 1});
-  const DeadlineMap deadlines{9, 9, 7, 8};
-  const CacheKey key = build_step_key(g, old, fresh, deadlines, /*t_old=*/2,
-                                      params_for(machine));
-
-  EXPECT_FALSE(cache.lookup_step(key).has_value());
-
-  StepCacheValue v;
-  v.emitted = {0};
-  v.suffix_order = {2, 1, 3};
-  v.suffix_deadlines = {5, 6, 7};
-  v.suffix_makespan = 3;
-  v.merged_makespan = 5;
-  v.counter_deltas["rank.incremental_nodes"] = 11;
-  cache.insert_step(key, v);
-
-  const auto hit = cache.lookup_step(key);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->emitted, v.emitted);
-  EXPECT_EQ(hit->suffix_order, v.suffix_order);
-  EXPECT_EQ(hit->suffix_deadlines, v.suffix_deadlines);
-  EXPECT_EQ(hit->suffix_makespan, 3);
-  EXPECT_EQ(hit->merged_makespan, 5);
-  EXPECT_EQ(hit->counter_deltas, v.counter_deltas);
-}
-
 TEST(ScheduleCache, CertificateRejectsDependenceViolations) {
   ScheduleCache cache;
   const MachineModel machine = scalar01();
@@ -336,6 +305,17 @@ TEST(ScheduleCache, CorruptDiskEntriesDegradeToMisses) {
   std::memcpy(stale.data() + 4, &v3, sizeof v3);  // just past the magic
   rewrite(stale);
   miss("format v3 header");
+
+  // A format v4 entry, written while step ('S') entries still shared the
+  // store, is a miss too: both its header and its key bytes name v4, and
+  // it must be neither served nor treated as an error.
+  std::string v4_entry = blob;
+  const std::uint32_t v4 = 4;
+  std::memcpy(v4_entry.data() + 4, &v4, sizeof v4);  // header version
+  std::memcpy(v4_entry.data() + 4 + 4 + 4 + 8 + 8 + 1, &v4,
+              sizeof v4);  // the key's own format field, after its kind
+  rewrite(v4_entry);
+  miss("format v4 entry");
 
   // And the pristine bytes still hit, so the misses above were the
   // corruption's doing.
