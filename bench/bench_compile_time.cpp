@@ -3,8 +3,9 @@
 // The paper defers empirical evaluation; §4.1 argues the deadline-relaxation
 // loop does not change the asymptotic cost.  This bench measures wall time
 // of the Rank Algorithm, Delay_Idle_Slots and full Algorithm Lookahead as
-// block / trace size grows, and the IR front end (parse, dependence build)
-// and a whole warm request around them.
+// block / trace size grows, the IR front end (parse, dependence build) and
+// a whole warm request around them, and the verifier's dependence
+// derivation and whole-program check.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cfg/cfg.hpp"
+#include "cfg/trace_select.hpp"
 #include "core/lookahead.hpp"
 #include "core/merge.hpp"
 #include "core/move_idle.hpp"
@@ -24,6 +26,7 @@
 #include "machine/machine_model.hpp"
 #include "server/compile_service.hpp"
 #include "sim/lookahead_sim.hpp"
+#include "verify/ir_deps.hpp"
 #include "workloads/random_graphs.hpp"
 #include "workloads/random_ir.hpp"
 
@@ -545,5 +548,56 @@ void BM_WarmRequest(benchmark::State& state) {
                           static_cast<std::int64_t>(bodies.size()));
 }
 BENCHMARK(BM_WarmRequest)->Unit(benchmark::kMillisecond);
+
+// --- The verifier -----------------------------------------------------------
+
+/// verify::derive_trace_deps on rs6000 over a random-IR trace of
+/// state.range(0) instructions in blocks of 12.  items/s counts
+/// instructions.
+void BM_DeriveTraceDeps(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Prng prng(static_cast<std::uint64_t>(n));
+  RandomIrParams ir;
+  ir.num_insts = 12;
+  const Trace trace = random_ir_trace(prng, ir, n / 12);
+  const MachineModel machine = rs6000_like();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify::derive_trace_deps(trace, machine));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DeriveTraceDeps)->Arg(24)->Arg(96)->Arg(384)->Arg(1536);
+
+/// verify_schedule over every trace of 16 cfg_program-shaped programs
+/// (random_ir_program_chunks, 32 blocks x 12 instructions), scheduled
+/// once for rs6000 at W = 2.  Time is per pass over all 16; items/s counts
+/// programs.
+void BM_VerifyProgram(benchmark::State& state) {
+  const MachineModel machine = rs6000_like();
+  std::vector<std::pair<Trace, ScheduledTrace>> traces;
+  constexpr int kPrograms = 16;
+  for (int p = 0; p < kPrograms; ++p) {
+    RandomIrProgramParams params;
+    params.block.num_insts = 12;
+    params.num_blocks = 32;
+    params.blocks_per_chunk = 32;
+    params.seed = static_cast<std::uint64_t>(p + 1);
+    random_ir_program_chunks(params, [&](Program&& prog, std::size_t) {
+      const Cfg cfg(std::move(prog));
+      for (const SelectedTrace& selected : select_traces(cfg)) {
+        Trace trace = materialize(cfg, selected);
+        ScheduledTrace scheduled = schedule(trace, machine, /*window=*/2);
+        traces.emplace_back(std::move(trace), std::move(scheduled));
+      }
+    });
+  }
+  for (auto _ : state) {
+    for (const auto& [trace, scheduled] : traces) {
+      benchmark::DoNotOptimize(verify_schedule(trace, scheduled, machine));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kPrograms);
+}
+BENCHMARK(BM_VerifyProgram)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -86,8 +86,8 @@ verify::Report verify_schedule(const Trace& original,
   verify::VerifyOptions opts;
   opts.window = scheduled.window;
   opts.check_optimality = check_optimality;
-  verify::Report report = verify::check_emitted(
-      original, Trace{scheduled.blocks}, machine, opts);
+  verify::Report report =
+      verify::check_emitted(original, scheduled.blocks, machine, opts);
   report.merge(verify::check_planning(scheduled.graph, scheduled.detail.order,
                                       scheduled.detail.per_block,
                                       scheduled.window));
@@ -100,8 +100,7 @@ verify::Report verify_schedule(const Loop& original,
   AIS_OBS_SPAN("verify");
   verify::VerifyOptions opts;
   opts.window = scheduled.window;
-  return verify::check_emitted(original.body, Trace{scheduled.blocks}, machine,
-                               opts);
+  return verify::check_emitted(original.body, scheduled.blocks, machine, opts);
 }
 
 ScheduledLoop schedule(const Loop& loop, const MachineModel& machine,

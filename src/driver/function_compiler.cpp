@@ -1,11 +1,11 @@
 #include "driver/function_compiler.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "baselines/block_schedulers.hpp"
-#include "ir/depbuild.hpp"
 #include "obs/obs.hpp"
 #include "sim/lookahead_sim.hpp"
 #include "support/assert.hpp"
@@ -35,8 +35,9 @@ TraceOutcome compile_trace(const Cfg& cfg, const SelectedTrace& selected,
     out.verification = verify_schedule(trace, out.scheduled, machine);
   }
   if (hot) {
-    // Hot-trace diagnostics: original order vs anticipatory order.
-    const DepGraph g = build_trace_graph(trace, machine);
+    // Hot-trace diagnostics: original order vs anticipatory order, both on
+    // the graph schedule() built.
+    const DepGraph& g = out.scheduled.graph;
     out.hot_cycles_before = simulated_completion(
         g, machine,
         schedule_trace_per_block(g, machine, BlockScheduler::kSourceOrder), w);
@@ -60,7 +61,6 @@ CompiledProgram compile_program(const Cfg& cfg, const MachineModel& machine,
   const int w = window == 0 ? machine.default_window() : window;
 
   CompiledProgram out;
-  out.program = cfg.program();
   {
     AIS_OBS_SPAN("trace_select");
     out.traces = select_traces(cfg);
@@ -76,12 +76,18 @@ CompiledProgram compile_program(const Cfg& cfg, const MachineModel& machine,
         compile_trace(cfg, out.traces[t], machine, w, verify, t == 0));
   });
 
+  // The traces partition the blocks, so each block of the program is filled
+  // from exactly one trace's scheduled blocks.
+  out.program.blocks.resize(cfg.num_blocks());
+  std::vector<char> filled(cfg.num_blocks(), 0);
   for (std::size_t t = 0; t < out.traces.size(); ++t) {
     const SelectedTrace& selected = out.traces[t];
     TraceOutcome& outcome = *outcomes[t];
     for (std::size_t i = 0; i < selected.blocks.size(); ++i) {
-      out.program.blocks[static_cast<std::size_t>(selected.blocks[i])] =
-          std::move(outcome.scheduled.blocks[i]);
+      const std::size_t id = static_cast<std::size_t>(selected.blocks[i]);
+      AIS_CHECK(!filled[id], "block filled by two traces");
+      filled[id] = 1;
+      out.program.blocks[id] = std::move(outcome.scheduled.blocks[i]);
     }
     if (verify) out.verification.merge(outcome.verification);
     if (t == 0) {
@@ -89,6 +95,8 @@ CompiledProgram compile_program(const Cfg& cfg, const MachineModel& machine,
       out.hot_trace_cycles_after = outcome.hot_cycles_after;
     }
   }
+  AIS_CHECK(std::find(filled.begin(), filled.end(), 0) == filled.end(),
+            "block left out of every trace");
   return out;
 }
 

@@ -7,6 +7,7 @@
 // self-certify.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/depgraph.hpp"
@@ -43,6 +44,12 @@ DepGraph graph_from_ir(const Trace& trace, const MachineModel& machine,
 /// the emitted priority list at opts.window and certifies its completion.
 /// Codes: "block-structure", "cross-block-motion", "branch-position",
 /// "dep-order", "optimality*".
+Report check_emitted(const Trace& original,
+                     std::span<const BasicBlock> scheduled,
+                     const MachineModel& machine,
+                     const VerifyOptions& opts = {});
+
+/// The same check on a scheduled Trace.
 Report check_emitted(const Trace& original, const Trace& scheduled,
                      const MachineModel& machine,
                      const VerifyOptions& opts = {});

@@ -1,7 +1,8 @@
 // Differential properties for the optimized Rank/Merge/Move_Idle hot path,
 // the memoized §5.2.3 loop candidate search, the IR front end (the
-// renderer, the dependence builder and the asm parser) and the schedule
-// cache's one-pass trace key.
+// renderer, the dependence builder and the asm parser), the schedule
+// cache's one-pass trace key and the verifier's dependence derivation and
+// block matching.
 //
 // The session-cached scheduler (closure reuse, incremental reranks, the
 // persistent by-rank ordering, the packed-key sort, the ready-queue greedy
@@ -23,6 +24,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -32,6 +34,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cfg/cfg.hpp"
+#include "cfg/trace_select.hpp"
 #include "core/chop.hpp"
 #include "core/deadlines.hpp"
 #include "core/lookahead.hpp"
@@ -49,12 +53,17 @@
 #include "ir/instruction.hpp"
 #include "machine/machine_model.hpp"
 #include "obs/obs.hpp"
+#include "server/compile_service.hpp"
+#include "sim/lookahead_sim.hpp"
 #include "sim/loop_sim.hpp"
 #include "support/arena.hpp"
 #include "support/assert.hpp"
 #include "support/prng.hpp"
 #include "support/str.hpp"
 #include "support/thread_pool.hpp"
+#include "verify/ir_deps.hpp"
+#include "verify/schedule_check.hpp"
+#include "verify/verify.hpp"
 #include "workloads/random_graphs.hpp"
 #include "workloads/random_ir.hpp"
 
@@ -2804,6 +2813,601 @@ TEST(Differential, CacheKeyMatchesVerbatimReference) {
   EXPECT_GT(keys, 1000);
   EXPECT_GT(with_tie, 0);
   EXPECT_GT(unsorted, 0);
+}
+
+// ---- The verifier: dependence derivation and block matching -------------
+
+namespace ref_verify {
+
+// Verbatim copy of verify/ir_deps.cpp's derive_trace_deps before it walked
+// per-register occurrence lists: every instruction pair, with an explicit
+// no_write_between kill check per pair.
+
+/// Flat view of one instruction: pointer plus its block index.
+struct FlatInst {
+  const Instruction* inst;
+  int block;
+};
+
+std::vector<FlatInst> flatten(const Trace& trace) {
+  std::vector<FlatInst> flat;
+  for (int b = 0; b < static_cast<int>(trace.blocks.size()); ++b) {
+    for (const Instruction& inst :
+         trace.blocks[static_cast<std::size_t>(b)].insts) {
+      flat.push_back(FlatInst{&inst, b});
+    }
+  }
+  return flat;
+}
+
+bool writes(const Instruction& inst, const Reg& r) {
+  for (const Reg& d : inst.defs) {
+    if (d == r) return true;
+  }
+  return false;
+}
+
+bool reads(const Instruction& inst, const Reg& r) {
+  for (const Reg& u : inst.uses) {
+    if (u == r) return true;
+  }
+  return false;
+}
+
+/// True when no instruction strictly between `lo` and `hi` writes `r`.
+bool no_write_between(const std::vector<FlatInst>& flat, int lo, int hi,
+                      const Reg& r) {
+  for (int k = lo + 1; k < hi; ++k) {
+    if (writes(*flat[static_cast<std::size_t>(k)].inst, r)) return false;
+  }
+  return true;
+}
+
+bool may_alias(const MemRef& a, const MemRef& b, bool disambiguate) {
+  if (!disambiguate) return true;
+  if (a.tag.empty() || b.tag.empty()) return true;
+  return a.tag == b.tag;
+}
+
+int result_latency(const Instruction& inst, const MachineModel& machine) {
+  return machine.timing(op_class(inst.op)).latency;
+}
+
+using verify::DepKind;
+using verify::IrDep;
+
+std::vector<IrDep> derive_trace_deps(const Trace& trace,
+                                     const MachineModel& machine,
+                                     bool disambiguate_memory) {
+  const std::vector<FlatInst> flat = flatten(trace);
+  const int n = static_cast<int>(flat.size());
+  std::vector<IrDep> deps;
+
+  for (int j = 0; j < n; ++j) {
+    const Instruction& b = *flat[static_cast<std::size_t>(j)].inst;
+    for (int i = 0; i < j; ++i) {
+      const Instruction& a = *flat[static_cast<std::size_t>(i)].inst;
+
+      // True dependence: i is the last writer of a register j reads.
+      for (const Reg& r : b.uses) {
+        if (writes(a, r) && no_write_between(flat, i, j, r)) {
+          deps.push_back(IrDep{i, j, DepKind::kTrue,
+                               result_latency(a, machine)});
+          break;  // one edge per pair suffices for this kind
+        }
+      }
+
+      // Anti dependence: i reads a register j overwrites before any other
+      // writer intervenes.  When i also writes the register the pair is
+      // covered by the output rule below (the write supersedes the read).
+      for (const Reg& r : b.defs) {
+        if (reads(a, r) && !writes(a, r) && no_write_between(flat, i, j, r)) {
+          deps.push_back(IrDep{i, j, DepKind::kAnti, 0});
+          break;
+        }
+      }
+
+      // Output dependence: consecutive writers of the same register.
+      for (const Reg& r : b.defs) {
+        if (writes(a, r) && no_write_between(flat, i, j, r)) {
+          deps.push_back(IrDep{i, j, DepKind::kOutput, 0});
+          break;
+        }
+      }
+
+      // Memory ordering: all conflicting pairs, not just adjacent ones
+      // (region tags are may-alias information, so no reference kills
+      // earlier ones).
+      if (a.is_mem() && b.is_mem() && !(a.is_load() && b.is_load()) &&
+          may_alias(*a.mem, *b.mem, disambiguate_memory)) {
+        const int latency =
+            (a.is_store() && b.is_load()) ? result_latency(a, machine) : 0;
+        deps.push_back(IrDep{i, j, DepKind::kMemory, latency});
+      }
+
+      // Control dependence: everything in a block precedes its branch.
+      if (b.is_branch() &&
+          flat[static_cast<std::size_t>(i)].block ==
+              flat[static_cast<std::size_t>(j)].block) {
+        deps.push_back(IrDep{i, j, DepKind::kControl, 0});
+      }
+    }
+  }
+  return deps;
+}
+
+// Verbatim copy of verify/verify.cpp's match_blocks and check_emitted
+// before each instruction was rendered once into reused buffers (less the
+// telemetry span): a std::map from rendering to free original slots per
+// block, and a fresh rendering at every comparison.
+
+using verify::Report;
+using verify::VerifyOptions;
+
+std::vector<const Instruction*> flatten_insts(const Trace& trace) {
+  std::vector<const Instruction*> flat;
+  for (const BasicBlock& bb : trace.blocks) {
+    for (const Instruction& inst : bb.insts) flat.push_back(&inst);
+  }
+  return flat;
+}
+
+bool match_blocks(const Trace& original, const Trace& scheduled,
+                  std::vector<int>& scheduled_to_original, Report& report) {
+  int flat_base = 0;
+  bool ok = true;
+  for (int b = 0; b < static_cast<int>(original.blocks.size()); ++b) {
+    const BasicBlock& obb = original.blocks[static_cast<std::size_t>(b)];
+    const BasicBlock& sbb = scheduled.blocks[static_cast<std::size_t>(b)];
+    if (obb.label != sbb.label) {
+      report.error("block-structure",
+                   "label changed from '" + obb.label + "' to '" + sbb.label +
+                       "'",
+                   b, sbb.label);
+      ok = false;
+    }
+    // Unmatched original slots, by rendering, in block order.
+    std::map<std::string, std::vector<int>> free_slots;
+    for (int i = 0; i < static_cast<int>(obb.insts.size()); ++i) {
+      free_slots[obb.insts[static_cast<std::size_t>(i)].to_string()]
+          .push_back(flat_base + i);
+    }
+    for (const Instruction& inst : sbb.insts) {
+      const std::string text = inst.to_string();
+      auto it = free_slots.find(text);
+      if (it == free_slots.end() || it->second.empty()) {
+        // Does the instruction exist (unconsumed) in some other block?
+        bool elsewhere = false;
+        for (const BasicBlock& other : original.blocks) {
+          if (&other == &obb) continue;
+          for (const Instruction& cand : other.insts) {
+            if (cand.to_string() == text) elsewhere = true;
+          }
+        }
+        report.error(elsewhere ? "cross-block-motion" : "block-structure",
+                     elsewhere
+                         ? "instruction belongs to a different block of the "
+                           "original trace"
+                         : "instruction does not occur (often enough) in the "
+                           "original block",
+                     b, text);
+        ok = false;
+        scheduled_to_original.push_back(-1);
+        continue;
+      }
+      scheduled_to_original.push_back(it->second.front());
+      it->second.erase(it->second.begin());
+    }
+    for (const auto& [text, slots] : free_slots) {
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        report.error("block-structure",
+                     "original instruction is missing from the scheduled "
+                     "block",
+                     b, text);
+        ok = false;
+      }
+    }
+    flat_base += static_cast<int>(obb.insts.size());
+  }
+  return ok;
+}
+
+Report check_emitted(const Trace& original, const Trace& scheduled,
+                     const MachineModel& machine, const VerifyOptions& opts) {
+  Report report;
+  if (original.blocks.size() != scheduled.blocks.size()) {
+    report.error("block-structure",
+                 "trace has " + std::to_string(scheduled.blocks.size()) +
+                     " blocks, original has " +
+                     std::to_string(original.blocks.size()));
+    return report;
+  }
+
+  // Branches must still terminate their blocks.
+  for (int b = 0; b < static_cast<int>(scheduled.blocks.size()); ++b) {
+    const BasicBlock& bb = scheduled.blocks[static_cast<std::size_t>(b)];
+    for (std::size_t i = 0; i + 1 < bb.insts.size(); ++i) {
+      if (bb.insts[i].is_branch()) {
+        report.error("branch-position",
+                     "branch was scheduled before the end of its block", b,
+                     bb.insts[i].to_string());
+      }
+    }
+  }
+
+  std::vector<int> scheduled_to_original;
+  if (!match_blocks(original, scheduled, scheduled_to_original, report)) {
+    return report;  // dependence positions are meaningless without a bijection
+  }
+
+  // Every re-derived dependence must point forward in the emitted stream.
+  const std::size_t n = scheduled_to_original.size();
+  std::vector<int> position(n, -1);
+  for (std::size_t p = 0; p < n; ++p) {
+    position[static_cast<std::size_t>(scheduled_to_original[p])] =
+        static_cast<int>(p);
+  }
+  const std::vector<const Instruction*> flat = flatten_insts(original);
+  const std::vector<IrDep> deps =
+      derive_trace_deps(original, machine, opts.disambiguate_memory);
+  for (const IrDep& d : deps) {
+    if (position[static_cast<std::size_t>(d.from)] >
+        position[static_cast<std::size_t>(d.to)]) {
+      report.error(
+          "dep-order",
+          std::string(dep_kind_name(d.kind)) + " dependence '" +
+              flat[static_cast<std::size_t>(d.from)]->to_string() + "' -> '" +
+              flat[static_cast<std::size_t>(d.to)]->to_string() +
+              "' points backwards in the emitted code",
+          -1, flat[static_cast<std::size_t>(d.to)]->to_string());
+    }
+  }
+  if (!report.ok()) return report;
+
+  if (opts.check_optimality) {
+    // Simulate the emitted priority list on the verifier's own graph and
+    // certify its completion time.
+    const DepGraph g = verify::graph_from_ir(original, machine, deps);
+    std::vector<NodeId> list;
+    for (const int orig : scheduled_to_original) {
+      list.push_back(static_cast<NodeId>(orig));
+    }
+    SimScratch scratch;
+    const Time achieved =
+        simulated_completion(g, machine, list, opts.window, scratch);
+    report_certificate(report,
+                       verify::certify_trace_completion(
+                           g, machine, opts.window, achieved,
+                           opts.enumeration_cap));
+  }
+  return report;
+}
+
+}  // namespace ref_verify
+
+/// A cfg_program-shaped program: 32 blocks of 12 instructions.
+RandomIrProgramParams cfg_program_shape(std::uint64_t seed) {
+  RandomIrProgramParams params;
+  params.block.num_insts = 12;
+  params.num_blocks = 32;
+  params.blocks_per_chunk = 32;
+  params.seed = seed;
+  return params;
+}
+
+/// The traces of a cfg_program-shaped program as select_traces forms them.
+std::vector<Trace> program_traces(std::uint64_t seed) {
+  std::vector<Trace> traces;
+  const auto select = [&](Program&& prog, std::size_t) {
+    const Cfg cfg(std::move(prog));
+    for (const SelectedTrace& selected : select_traces(cfg)) {
+      traces.push_back(materialize(cfg, selected));
+    }
+  };
+  random_ir_program_chunks(cfg_program_shape(seed), select);
+  return traces;
+}
+
+/// Counts, over the inputs, the shapes the occurrence-list derivation has
+/// to get right.
+struct DepShapes {
+  int update_forms = 0;   // LDU / STU: the base is read and written
+  int untagged = 0;       // memory references without a region tag
+  int repeated_use = 0;   // a register read twice, as in ADD r1, r2, r2
+  int wide = 0;           // traces touching more than 64 registers
+  int rw_then_write = 0;  // an instruction reads and writes r, and a later
+                          // one writes r: the anti rule must skip the pair
+
+  void add(const Trace& trace) {
+    const std::vector<ref_verify::FlatInst> flat = ref_verify::flatten(trace);
+    std::set<std::pair<int, int>> regs;
+    for (std::size_t k = 0; k < flat.size(); ++k) {
+      const Instruction& inst = *flat[k].inst;
+      update_forms += inst.op == Opcode::kLoadU || inst.op == Opcode::kStoreU;
+      untagged += inst.is_mem() && inst.mem->tag.empty();
+      for (std::size_t u = 0; u < inst.uses.size(); ++u) {
+        for (std::size_t v = u + 1; v < inst.uses.size(); ++v) {
+          repeated_use += inst.uses[u] == inst.uses[v];
+        }
+      }
+      for (const std::vector<Reg>* list : {&inst.defs, &inst.uses}) {
+        for (const Reg& r : *list) {
+          regs.emplace(static_cast<int>(r.cls), r.idx);
+        }
+      }
+      for (const Reg& r : inst.defs) {
+        if (!ref_verify::reads(inst, r)) continue;
+        for (std::size_t l = k + 1; l < flat.size(); ++l) {
+          if (ref_verify::writes(*flat[l].inst, r)) {
+            ++rw_then_write;
+            break;
+          }
+        }
+      }
+    }
+    wide += regs.size() > 64;
+  }
+};
+
+/// The occurrence-list derivation must return exactly the pairwise scan's
+/// vector — every (from, to, kind, latency) in the same order — on
+/// cfg_program traces, random traces over small to large register pools
+/// and no to many memory operations, a trace touching more than 64
+/// registers and every shipped example, on every preset, with memory
+/// disambiguation on and off.
+TEST(Differential, IrDepsMatchVerbatimReference) {
+  std::vector<std::pair<std::string, Trace>> inputs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (Trace& trace : program_traces(seed)) {
+      inputs.emplace_back("program " + std::to_string(seed), std::move(trace));
+    }
+  }
+  Prng prng(0x1de95);
+  for (const int pool : {3, 6, 16}) {
+    for (const double mem_frac : {0.0, 0.2, 0.4, 0.6}) {
+      for (int rep = 0; rep < 3; ++rep) {
+        RandomIrParams params;
+        params.num_gprs = pool;
+        params.num_fprs = std::min(pool, 4);
+        params.mem_frac = mem_frac;
+        params.num_insts = static_cast<int>(prng.uniform(4, 24));
+        inputs.emplace_back(
+            "random pool=" + std::to_string(pool) +
+                " mem=" + std::to_string(mem_frac),
+            random_ir_trace(prng, params,
+                            static_cast<int>(prng.uniform(1, 4))));
+      }
+    }
+  }
+  RandomIrParams wide;
+  wide.num_gprs = 160;
+  wide.num_fprs = 64;
+  wide.num_insts = 60;
+  inputs.emplace_back("wide", random_ir_trace(prng, wide, 4));
+  for (const auto& [name, text] : shipped_asm()) {
+    inputs.emplace_back(name, Trace{parse_program(text).blocks});
+  }
+
+  DepShapes shapes;
+  for (const auto& [name, trace] : inputs) shapes.add(trace);
+  EXPECT_GT(shapes.update_forms, 0);
+  EXPECT_GT(shapes.untagged, 0);
+  EXPECT_GT(shapes.repeated_use, 0);
+  EXPECT_GT(shapes.wide, 0);
+  EXPECT_GT(shapes.rw_then_write, 0);
+
+  std::size_t deps = 0;
+  for (const MachineModel& machine :
+       {scalar01(), rs6000_like(), deep_pipeline(), vliw4()}) {
+    for (const bool disambiguate : {true, false}) {
+      for (const auto& [name, trace] : inputs) {
+        const std::vector<verify::IrDep> got =
+            verify::derive_trace_deps(trace, machine, disambiguate);
+        const std::vector<verify::IrDep> want =
+            ref_verify::derive_trace_deps(trace, machine, disambiguate);
+        const std::string where = machine.name() + " disambiguate=" +
+                                  std::to_string(disambiguate) + " " + name;
+        ASSERT_EQ(got.size(), want.size()) << where;
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          const verify::IrDep& a = got[k];
+          const verify::IrDep& b = want[k];
+          ASSERT_TRUE(a.from == b.from && a.to == b.to && a.kind == b.kind &&
+                      a.latency == b.latency)
+              << where << " dep " << k << ": got " << a.from << "->" << a.to
+              << " " << verify::dep_kind_name(a.kind) << " " << a.latency
+              << ", want " << b.from << "->" << b.to << " "
+              << verify::dep_kind_name(b.kind) << " " << b.latency;
+        }
+        deps += want.size();
+      }
+    }
+  }
+  EXPECT_GT(deps, 50000u);
+}
+
+/// A block whose identical instructions depend on one another (output,
+/// true and memory), so matching equal renderings in any order but the
+/// lowest index first reports a backward dependence.
+const char* kRepeatedInstructions = R"(
+block R:
+  LI  r5, 1
+  ADD r1, r1, r2
+  LI  r5, 1
+  ADD r1, r1, r2
+  ST  a[r3+0], r4
+  ADD r1, r1, r2
+  ST  a[r3+0], r4
+  CMP c1, r1, 0
+  BT  c1, R
+block S:
+  ADD r1, r1, r2
+  LI  r5, 1
+  ADD r1, r1, r2
+)";
+
+/// check_emitted must report exactly what the std::map matcher did —
+/// Report::to_string() byte for byte — on compile_ir's output for cfg
+/// programs, traces, loops, repeated instructions and every shipped
+/// example, on every preset, and on that output mutated by a
+/// dependence-breaking swap, an instruction moved to another block, a
+/// dropped plus a duplicated instruction, two dropped instructions, a
+/// relabelled block and a hoisted branch.
+TEST(Differential, CheckEmittedMatchesVerbatimReference) {
+  struct Input {
+    std::string name;
+    std::string mode;
+    std::string text;
+  };
+  std::vector<Input> inputs;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto add = [&](Program&& prog, std::size_t) {
+      inputs.push_back(
+          {"program " + std::to_string(seed), "cfg", render(prog.blocks)});
+    };
+    random_ir_program_chunks(cfg_program_shape(seed), add);
+  }
+  Prng prng(0xc4ec);
+  for (int i = 0; i < 6; ++i) {
+    RandomIrParams params;
+    params.num_gprs = i % 2 == 0 ? 6 : 16;
+    params.num_insts = static_cast<int>(prng.uniform(4, 14));
+    inputs.push_back({"trace " + std::to_string(i), "trace",
+                      render(random_ir_trace(prng, params, 3).blocks)});
+    inputs.push_back({"loop " + std::to_string(i), "loop",
+                      render(random_ir_loop(prng, params).body.blocks)});
+  }
+  inputs.push_back({"repeated", "trace", kRepeatedInstructions});
+  inputs.push_back({"repeated loop", "loop", kRepeatedInstructions});
+  for (const auto& [name, text] : shipped_asm()) {
+    const std::string mode = name == "fig3_loop.s"     ? "loop"
+                             : name == "diamond_cfg.s" ? "cfg"
+                                                       : "trace";
+    inputs.push_back({name, mode, text});
+  }
+
+  std::map<std::string, int> codes;
+  int checks = 0;
+  int multi_missing = 0;
+  const auto compare = [&](const Trace& original, const Trace& emitted,
+                           const MachineModel& machine,
+                           const verify::VerifyOptions& opts,
+                           const std::string& what) {
+    const std::string want =
+        ref_verify::check_emitted(original, emitted, machine, opts)
+            .to_string();
+    EXPECT_EQ(verify::check_emitted(original, emitted.blocks, machine, opts)
+                  .to_string(),
+              want)
+        << what;
+    EXPECT_EQ(verify::check_emitted(original, emitted, machine, opts)
+                  .to_string(),
+              want)
+        << what;
+    ++checks;
+    std::map<std::string, int> missing_per_block;
+    std::istringstream lines(want);
+    for (std::string line; std::getline(lines, line);) {
+      const std::size_t open = line.find('[');
+      const std::size_t close = line.find(']');
+      if (open != std::string::npos && close != std::string::npos) {
+        ++codes[line.substr(open + 1, close - open - 1)];
+      }
+      if (line.find("is missing") != std::string::npos) {
+        ++missing_per_block[line.substr(0, line.find('('))];
+      }
+    }
+    for (const auto& [block, count] : missing_per_block) {
+      multi_missing += count >= 2;
+    }
+  };
+
+  const auto non_branch = [](const BasicBlock& bb) {
+    return bb.insts.size() - (!bb.insts.empty() && bb.insts.back().is_branch()
+                                  ? 1
+                                  : 0);
+  };
+  server::WorkerScratch scratch;
+  for (const std::string& preset : machine_preset_names()) {
+    const MachineModel& machine = *machine_preset(preset);
+    for (const Input& input : inputs) {
+      for (const int window : {0, 2}) {
+        server::CompileOptions options;
+        options.mode = input.mode;
+        options.machine = preset;
+        options.window = window;
+        server::Response reply;
+        server::compile_ir(input.text, options, scratch, &reply);
+        ASSERT_TRUE(reply.ok) << input.name << ": " << reply.message;
+        const Trace original{parse_program(input.text).blocks};
+        const Trace emitted{parse_program(reply.asm_text).blocks};
+        verify::VerifyOptions opts;
+        opts.window = window == 0 ? machine.default_window() : window;
+        opts.check_optimality = original.num_insts() <= 12;
+        const std::string what =
+            preset + " W=" + std::to_string(window) + " " + input.name;
+        compare(original, emitted, machine, opts, what);
+        opts.check_optimality = false;
+        opts.disambiguate_memory = false;
+        compare(original, emitted, machine, opts, what + " no-disambiguate");
+        opts.disambiguate_memory = true;
+
+        // Mutations, each on a fresh copy of the emitted blocks.
+        const std::size_t nb = emitted.blocks.size();
+        const std::size_t b = prng.index(nb);
+        const BasicBlock& bb = emitted.blocks[b];
+        for (std::size_t k = 0; k + 1 < non_branch(bb); ++k) {
+          Trace m = emitted;
+          std::swap(m.blocks[b].insts[k], m.blocks[b].insts[k + 1]);
+          compare(original, m, machine, opts, what + " swap");
+        }
+        if (nb >= 2 && non_branch(bb) >= 1) {
+          Trace m = emitted;
+          const std::size_t c = (b + 1 + prng.index(nb - 1)) % nb;
+          const std::size_t k = prng.index(non_branch(bb));
+          m.blocks[c].insts.insert(m.blocks[c].insts.begin(),
+                                   m.blocks[b].insts[k]);
+          m.blocks[b].insts.erase(m.blocks[b].insts.begin() +
+                                  static_cast<std::ptrdiff_t>(k));
+          compare(original, m, machine, opts, what + " move");
+        }
+        if (non_branch(bb) >= 2) {
+          Trace m = emitted;
+          const std::size_t k = prng.index(non_branch(bb));
+          const std::size_t dup = (k + 1) % non_branch(bb);
+          const Instruction copy = m.blocks[b].insts[dup];
+          m.blocks[b].insts.erase(m.blocks[b].insts.begin() +
+                                  static_cast<std::ptrdiff_t>(k));
+          m.blocks[b].insts.insert(m.blocks[b].insts.begin(), copy);
+          compare(original, m, machine, opts, what + " drop+dup");
+
+          Trace two = emitted;
+          auto& insts = two.blocks[b].insts;
+          insts.erase(insts.begin());
+          insts.erase(insts.begin() + static_cast<std::ptrdiff_t>(
+                                          prng.index(non_branch(bb) - 1)));
+          compare(original, two, machine, opts, what + " drop two");
+        }
+        {
+          Trace m = emitted;
+          m.blocks[b].label += "_x";
+          compare(original, m, machine, opts, what + " relabel");
+        }
+        if (bb.insts.size() >= 2 && bb.insts.back().is_branch()) {
+          Trace m = emitted;
+          auto& insts = m.blocks[b].insts;
+          std::rotate(insts.begin(), insts.end() - 1, insts.end());
+          compare(original, m, machine, opts, what + " hoist branch");
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 1000);
+  EXPECT_GT(multi_missing, 0);
+  for (const char* code :
+       {"dep-order", "cross-block-motion", "block-structure",
+        "branch-position", "optimality-certified"}) {
+    EXPECT_GT(codes[code], 0) << code;
+  }
 }
 
 }  // namespace

@@ -285,8 +285,8 @@ int main(int argc, char** argv) {
       verify::VerifyOptions vopts;
       vopts.window = window == 0 ? machine.default_window() : window;
       vopts.check_optimality = optimal;
-      report.merge(verify::check_emitted(original, Trace{compiled.blocks},
-                                         machine, vopts));
+      report.merge(
+          verify::check_emitted(original, compiled.blocks, machine, vopts));
     } else if (do_verify) {
       if (mode == "cfg") {
         const Cfg cfg(prog);
