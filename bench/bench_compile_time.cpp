@@ -457,6 +457,26 @@ void BM_LoopSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_LoopSearch)->Unit(benchmark::kMillisecond);
 
+/// One long single-block loop, random_ir_loop of N instructions (seed 1,
+/// default register pools and memory mix), through schedule(const Loop&)
+/// on rs6000 at W = 2: the §5.2.3 search's cost as the body grows.  Time
+/// is per loop.
+void BM_LoopSearchLong(benchmark::State& state) {
+  Prng prng(1);
+  RandomIrParams ir;
+  ir.num_insts = static_cast<int>(state.range(0));
+  const Loop loop = random_ir_loop(prng, ir);
+  const MachineModel machine = rs6000_like();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(schedule(loop, machine, /*window=*/2));
+  }
+}
+BENCHMARK(BM_LoopSearchLong)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(300)
+    ->Unit(benchmark::kMillisecond);
+
 // --- IR front end ---------------------------------------------------------
 
 /// perfbench warm_daemon's request bodies: 256 random-IR traces of 4

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <tuple>
+#include <utility>
 
 #include "core/move_idle.hpp"
+#include "obs/obs.hpp"
 #include "support/assert.hpp"
 
 namespace ais {
@@ -76,6 +80,42 @@ bool is_li_sink(const DepGraph& g, NodeId id) {
   return true;
 }
 
+/// What pivot's §5.2.1 (`source_form`) or §5.2.2 surrogate adds to the
+/// loop-independent graph, up to what Rank and Delay_Idle_Slots can see:
+/// the form, the dummy's exec time, FU class and block (the pivot's), and
+/// each carried neighbour with its largest carried latency to (§5.2.1) or
+/// from (§5.2.2) the dummy, by node id.  A neighbour whose largest latency
+/// is 0 is dropped, because every node already has a 0-latency edge to or
+/// from the dummy.  Two pivots with one key build surrogates that differ
+/// only in the dummy's name, the edge order and parallel edges no longer
+/// than the pair's largest, so they get the same order and makespan
+/// (docs/PERFORMANCE.md, "Loop candidate search").
+using SurrogateKey = std::tuple<bool, int, int, int,
+                                std::vector<std::pair<NodeId, int>>>;
+
+SurrogateKey surrogate_key(const DepGraph& g, NodeId pivot,
+                           bool source_form) {
+  std::vector<std::pair<NodeId, int>> carried;
+  for (const auto eidx :
+       source_form ? g.in_edges(pivot) : g.out_edges(pivot)) {
+    const DepEdge& e = g.edge(eidx);
+    if (e.carried() && e.latency > 0) {
+      carried.emplace_back(source_form ? e.from : e.to, e.latency);
+    }
+  }
+  // Ascending id, largest latency first within an id; unique keeps it.
+  std::sort(carried.begin(), carried.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second > b.second;
+  });
+  carried.erase(std::unique(carried.begin(), carried.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first == b.first;
+                            }),
+                carried.end());
+  const NodeInfo& n = g.node(pivot);
+  return {source_form, n.exec_time, n.fu_class, n.block, std::move(carried)};
+}
+
 }  // namespace
 
 LoopCandidate build_loop_candidate(const DepGraph& g,
@@ -142,6 +182,8 @@ std::vector<LoopCandidate> loop_single_candidates(
     cand.order = schedule_surrogate(surrogate, machine, dummy, opts.rank,
                                     &cand.surrogate_makespan);
     candidates.push_back(std::move(cand));
+    AIS_OBS_COUNT(obs::ctr::kLoopCandidates);
+    AIS_OBS_COUNT(obs::ctr::kLoopSurrogates);
     return candidates;
   }
 
@@ -153,20 +195,35 @@ std::vector<LoopCandidate> loop_single_candidates(
       (opts.prune == LoopSingleOptions::Prune::kAuto &&
        machine.is_restricted_case() && g.max_latency() <= 1);
 
+  // Pivots whose surrogates share a key share its solve: a repeated key
+  // takes the first occurrence's order and makespan under its own pivot
+  // and form.  `first` maps each key to its first candidate's index.
+  std::map<SurrogateKey, std::size_t> first;
+  const auto add = [&](NodeId pivot, bool source_form) {
+    const auto [it, fresh] = first.try_emplace(
+        surrogate_key(g, pivot, source_form), candidates.size());
+    if (fresh) {
+      candidates.push_back(build_loop_candidate(g, machine, pivot,
+                                                source_form, opts.rank));
+      return;
+    }
+    LoopCandidate cand = candidates[it->second];
+    cand.pivot = pivot;
+    cand.source_form = source_form;
+    candidates.push_back(std::move(cand));
+  };
   for (NodeId id = 0; id < g.num_nodes(); ++id) {
     if (is_carried_target(g, id) && (!prune || is_li_source(g, id))) {
-      candidates.push_back(
-          build_loop_candidate(g, machine, id, /*source_form=*/true,
-                               opts.rank));
+      add(id, /*source_form=*/true);
     }
     if (is_carried_source(g, id) && (!prune || is_li_sink(g, id))) {
-      candidates.push_back(
-          build_loop_candidate(g, machine, id, /*source_form=*/false,
-                               opts.rank));
+      add(id, /*source_form=*/false);
     }
   }
   AIS_CHECK(!candidates.empty(),
             "a loop with carried edges must yield at least one candidate");
+  AIS_OBS_COUNT(obs::ctr::kLoopCandidates, candidates.size());
+  AIS_OBS_COUNT(obs::ctr::kLoopSurrogates, first.size());
   return candidates;
 }
 

@@ -18,6 +18,14 @@
 //         candidate set prunes to sources/sinks of the loop-independent
 //         subgraph.
 //
+// Many pivots build the same surrogate up to what scheduling can see: the
+// dummy's exec time, FU class and block, and each carried neighbour's
+// largest latency (a 0 adds nothing to the universal 0-latency edges).
+// The search schedules each distinct surrogate once and gives a repeated
+// one's order and makespan to every pivot that builds it, so the
+// candidate list is exactly the per-pivot one (docs/PERFORMANCE.md, "Loop
+// candidate search", has the proof).
+//
 // Candidate quality is judged by the *steady-state initiation interval*,
 // which depends on the lookahead machine; callers supply an evaluator
 // (usually sim::steady_state_period) so this module stays simulator-free.
@@ -61,8 +69,11 @@ LoopCandidate build_loop_candidate(const DepGraph& g,
                                    bool source_form,
                                    const RankOptions& rank_opts);
 
-/// Enumerates every §5.2.3 candidate (both constructions, pruned per opts).
-/// If the loop has no carried edges, returns the single plain block schedule.
+/// Enumerates every §5.2.3 candidate (both constructions, pruned per opts),
+/// equal to build_loop_candidate for each admitted (pivot, form) in order,
+/// but runs build_loop_candidate once per distinct surrogate.  Counts
+/// `loop.candidates` and `loop.surrogates`.  If the loop has no carried
+/// edges, returns the single plain block schedule.
 std::vector<LoopCandidate> loop_single_candidates(
     const DepGraph& g, const MachineModel& machine,
     const LoopSingleOptions& opts = {});

@@ -285,6 +285,11 @@ inline constexpr const char* kIdleMovesPrunedNoRefill =
     "move_idle.pruned_no_refill";
 inline constexpr const char* kDeadlinesTightened =
     "move_idle.deadlines_tightened";
+/// The §5.2.3 loop search (core/loop_single.cpp): candidates enumerated,
+/// and the distinct surrogates among them that were actually scheduled
+/// (pivots with the same surrogate share one Rank + Delay_Idle_Slots run).
+inline constexpr const char* kLoopCandidates = "loop.candidates";
+inline constexpr const char* kLoopSurrogates = "loop.surrogates";
 inline constexpr const char* kChopCalls = "chop.calls";
 inline constexpr const char* kChopPoints = "chop.points";
 inline constexpr const char* kLookaheadBlocks = "lookahead.blocks";

@@ -18,6 +18,7 @@ void register_builtin_counters() {
         ctr::kIdleMoveAttempts, ctr::kIdleSlotsMoved,
         ctr::kIdleMovesPrunedSaturated, ctr::kIdleMovesPrunedNoTail,
         ctr::kIdleMovesPrunedNoRefill, ctr::kDeadlinesTightened,
+        ctr::kLoopCandidates, ctr::kLoopSurrogates,
         ctr::kChopCalls, ctr::kChopPoints, ctr::kLookaheadBlocks,
         ctr::kWindowSpanOverW, ctr::kSimRuns, ctr::kSimCycles,
         ctr::kSimStallLatency, ctr::kSimStallWindow, ctr::kSimEvents,

@@ -1,5 +1,6 @@
 #include "support/arena.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -60,7 +61,9 @@ Arena::Chunk& Arena::chunk_for(std::size_t bytes, std::size_t align) {
     while (size < bytes) size *= 2;
     next_chunk_bytes_ = size * 2 < chunk_bytes_ ? size * 2 : chunk_bytes_;
   }
-  chunks_.push_back(Chunk{std::make_unique<std::byte[]>(size), size, 0});
+  // Uninitialized: every consumer writes its storage before reading it.
+  chunks_.push_back(
+      Chunk{std::make_unique_for_overwrite<std::byte[]>(size), size, 0});
   bytes_reserved_ += size;
   return chunks_.back();
 }
