@@ -133,9 +133,9 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
         ChopResult c = chop(merged, deadlines, opts.window);
         out.order.insert(out.order.end(), c.emitted.begin(), c.emitted.end());
         if (!c.emitted.empty()) ++out.diag.prefixes_emitted;
-        // Deterministic shape distribution (no "time." prefix): recorded
-        // into the trace value below and replayed on hits, so cached and
-        // fresh runs report identical prefix-length histograms.
+        // Deterministic shape distribution (a replaying id): recorded into
+        // the trace value below and replayed on hits, so cached and fresh
+        // runs report identical prefix-length histograms.
         AIS_OBS_VALUE(obs::hist::kChopPrefixLen, c.emitted.size());
         old = std::move(c.suffix);
         t_old = c.suffix_makespan;

@@ -53,9 +53,8 @@ class SessionRestore {
 /// State shared by the attempts of one Delay_Idle_Slots sweep: the unit ->
 /// class map, guard (3)'s bound, the rank session, buffers reused by every
 /// attempt, and the Move_Idle counters, issued once by flush() instead of
-/// once per event (each bump is a map lookup in every active
-/// CounterRecorder, and recorders sum deltas per name, so batching leaves
-/// recorded deltas and registry totals unchanged).
+/// once per event (recorders sum deltas per id, so batching leaves recorded
+/// deltas and registry totals unchanged).
 struct MoveIdleTrials {
   explicit MoveIdleTrials(const RankScheduler& scheduler)
       : scheduler(scheduler),

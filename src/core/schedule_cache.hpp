@@ -51,7 +51,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,6 +59,7 @@
 #include "graph/depgraph.hpp"
 #include "graph/nodeset.hpp"
 #include "machine/machine_model.hpp"
+#include "obs/obs.hpp"
 
 namespace ais {
 
@@ -76,7 +76,9 @@ inline constexpr std::uint32_t kScheduleCacheAlgoVersion = 3;
 /// v3: values grew per-name histogram sample lists (value_samples).
 /// v4: the key prefix lost its 8-byte Merge fill-depth cap field.
 /// v5: the step ('S') entry kind is gone; 'T' is the only key kind.
-inline constexpr std::uint32_t kScheduleCacheFormatVersion = 5;
+/// v6: counter deltas and histogram samples are keyed by their obs ids,
+/// not by name.
+inline constexpr std::uint32_t kScheduleCacheFormatVersion = 6;
 
 /// A canonical scheduling-instance key plus the remap table for its hits.
 struct CacheKey {
@@ -102,22 +104,16 @@ struct CacheInstanceParams {
   const std::vector<int>* tie_break = nullptr;
 };
 
-using CounterDeltaMap = std::map<std::string, std::uint64_t, std::less<>>;
-/// Histogram samples recorded by the original solve (obs::record_value),
-/// replayed on hits like counter_deltas.  Only deterministic, run-
-/// independent distributions qualify (chop.prefix_len); wall-clock
-/// histograms carry the "time." prefix, which CounterRecorder filters
-/// before anything reaches a cache value.
-using ValueSampleMap =
-    std::map<std::string, std::vector<std::uint64_t>, std::less<>>;
-
 /// One whole schedule_trace() outcome, in dense ids.
 struct TraceCacheValue {
   std::vector<std::uint32_t> order;        // planning permutation, dense
   std::vector<Time> merged_makespans;      // LookaheadDiagnostics
   std::uint64_t prefixes_emitted = 0;
-  CounterDeltaMap counter_deltas;
-  ValueSampleMap value_samples;
+  /// What the original solve counted and sampled (obs::CounterRecorder),
+  /// replayed on hits.  Only ids that replay are ever recorded: cache
+  /// traffic and wall-clock histograms describe the run, not the schedule.
+  obs::CounterDeltas counter_deltas;
+  obs::ValueSamples value_samples;
 };
 
 /// Key for a whole trace: `blocks` in iteration order over `g`.  One flat

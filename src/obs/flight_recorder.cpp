@@ -16,7 +16,6 @@
 
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "support/stopwatch.hpp"
 
 namespace ais::obs {
@@ -141,12 +140,19 @@ void emit_ring(DumpSink& sink, std::size_t index, const FlightRing& ring) {
   }
 }
 
-void emit_counter(void* ctx, const char* name, std::uint64_t value) {
-  emitf(*static_cast<DumpSink*>(ctx), "%s %llu\n", name,
-        static_cast<unsigned long long>(value));
+void emit_counter(void* ctx, const char* name, const char* labels,
+                  MetricType type, const void* series) {
+  if (type != MetricType::kCounter) return;
+  const auto value = static_cast<unsigned long long>(
+      static_cast<const Counter*>(series)->value());
+  if (labels[0] == '\0') {
+    emitf(*static_cast<DumpSink*>(ctx), "%s %llu\n", name, value);
+  } else {
+    emitf(*static_cast<DumpSink*>(ctx), "%s{%s} %llu\n", name, labels, value);
+  }
 }
 
-void emit_metric(void* ctx, const char* name, const char* labels,
+void emit_histogram(void* ctx, const char* name, const char* labels,
                  MetricType type, const void* series) {
   auto& sink = *static_cast<DumpSink*>(ctx);
   if (type != MetricType::kHistogram) return;
@@ -174,15 +180,15 @@ void dump_impl(DumpSink& sink, int signal) {
     const FlightRing* ring = g_rings[i].load(std::memory_order_acquire);
     if (ring != nullptr) emit_ring(sink, i, *ring);
   }
+  // Never allocate the registry from a handler: with none created yet,
+  // both sections stay empty.
+  MetricRegistry* metrics = MetricRegistry::global_if_created();
   emitf(sink, "== counters ==\n");
-  if (!try_visit_counters(&emit_counter, &sink)) {
-    emitf(sink, "(skipped: counter registry busy)\n");
+  if (metrics != nullptr && !metrics->try_visit(&emit_counter, &sink)) {
+    emitf(sink, "(skipped: metric registry busy)\n");
   }
   emitf(sink, "== histograms ==\n");
-  MetricRegistry* metrics = MetricRegistry::global_if_created();
-  if (metrics == nullptr) {
-    // Nothing registered yet — never allocate the registry from a handler.
-  } else if (!metrics->try_visit(&emit_metric, &sink)) {
+  if (metrics != nullptr && !metrics->try_visit(&emit_histogram, &sink)) {
     emitf(sink, "(skipped: metric registry busy)\n");
   }
   emitf(sink, "== end ==\n");

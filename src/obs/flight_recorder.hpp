@@ -18,7 +18,7 @@
 // Signal safety is best-effort by design: the handler walks a lock-free
 // fixed table of ring pointers, formats with snprintf into stack buffers,
 // and write()s straight to an fd; the counter and histogram sections
-// try_lock their registries and are skipped when contended.  Entries being
+// try_lock the metric registry and are skipped when contended.  Entries being
 // overwritten mid-crash can tear — a torn line in a post-mortem beats a
 // deadlocked handler.  After dumping, the handler re-raises with the
 // default disposition (SA_RESETHAND), so exit codes and core dumps behave

@@ -7,7 +7,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/obs.hpp"
 #include "support/assert.hpp"
 #include "support/mutex.hpp"
 
@@ -261,13 +260,11 @@ std::string bucket_label_block(
 void MetricRegistry::write_prometheus(std::ostream& os) const {
   const std::vector<MetricSeries> series = snapshot();
   std::string open_family;
-  std::vector<std::string> emitted_families;
   for (const MetricSeries& s : series) {
     const std::string fam = prometheus_name(s.name);
     if (fam != open_family) {
       os << "# TYPE " << fam << " " << type_name(s.type) << "\n";
       open_family = fam;
-      emitted_families.push_back(fam);
     }
     if (s.type == MetricType::kCounter) {
       os << fam << label_block(s.labels) << " " << s.counter_value << "\n";
@@ -295,18 +292,6 @@ void MetricRegistry::write_prometheus(std::ostream& os) const {
          << "\n";
     }
   }
-
-  // Legacy named counters ride along as their own sanitized families; a
-  // (never expected) collision with a registry family is skipped rather
-  // than emitting a duplicate TYPE declaration.
-  for (const auto& [name, value] : counters_snapshot()) {
-    const std::string fam = prometheus_name(name);
-    if (std::find(emitted_families.begin(), emitted_families.end(), fam) !=
-        emitted_families.end()) {
-      continue;
-    }
-    os << "# TYPE " << fam << " counter\n" << fam << " " << value << "\n";
-  }
 }
 
 std::string MetricRegistry::prometheus_text() const {
@@ -316,13 +301,7 @@ std::string MetricRegistry::prometheus_text() const {
 }
 
 void MetricRegistry::write_json(std::ostream& os) const {
-  os << "{\n  \"schema\": 1,\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters_snapshot()) {
-    os << (first ? "" : ", ") << "\"" << json_escape(name) << "\": " << value;
-    first = false;
-  }
-  os << "},\n  \"metrics\": [";
+  os << "{\n  \"schema\": 2,\n  \"metrics\": [";
   const std::vector<MetricSeries> series = snapshot();
   for (std::size_t i = 0; i < series.size(); ++i) {
     const MetricSeries& s = series[i];

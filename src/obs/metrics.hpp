@@ -15,8 +15,9 @@
 //
 // Naming
 // ------
-// Registry names are free-form (the legacy obs counters use dotted names
-// like "cache.hits"); the Prometheus writer sanitizes on the way out
+// Registry names are free-form (the built-in obs counters, histograms and
+// phase spans of obs/obs.hpp register dotted names like "cache.hits");
+// the Prometheus writer sanitizes on the way out
 // (prometheus_name()): characters outside [a-zA-Z0-9_:] become '_', and a
 // leading digit gets an "ais_" prefix.  Histogram exposition follows the
 // Prometheus convention: cumulative `<name>_bucket{le="..."}` rows up to
@@ -114,14 +115,14 @@ class MetricRegistry {
   /// Every registered series, sorted by (name, labels).
   std::vector<MetricSeries> snapshot() const;
 
-  /// Prometheus text exposition of every series, plus the legacy obs named
-  /// counters (obs::counters_snapshot()) as sanitized counter families.
+  /// Prometheus text exposition of every series, one family per sanitized
+  /// name, in name order.
   void write_prometheus(std::ostream& os) const;
   std::string prometheus_text() const;
 
-  /// JSON snapshot — the `aisd /stats` payload: {"schema": 1, "counters":
-  /// {legacy...}, "metrics": [series...]} with per-bucket (non-cumulative)
-  /// histogram counts and p50/p90/p99/max.
+  /// JSON snapshot — the `aisd /stats` payload: {"schema": 2, "metrics":
+  /// [series...]} with per-bucket (non-cumulative) histogram counts and
+  /// p50/p90/p99/max.
   void write_json(std::ostream& os) const;
   std::string json_text() const;
 

@@ -6,8 +6,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <ostream>
+#include <string_view>
 #include <thread>
 
 #include "obs/flight_recorder.hpp"
@@ -22,126 +22,53 @@ namespace {
 std::atomic<bool> g_enabled{false};
 std::atomic<bool> g_trace_enabled{false};
 
-/// Registry state behind one mutex: spans fire at pass granularity (a few
-/// thousand per compile at most), so contention is irrelevant; counters use
-/// atomics so concurrent add() never serializes on the map once registered.
-/// One phase's aggregate, bumped lock-free by Span close (the mutex guards
-/// only the map that owns the cell, not the cell's totals).
-struct PhaseCell {
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::uint64_t> total_us{0};
+template <std::size_t N>
+constexpr bool names_ascending(const std::array<MetricInfo, N>& info) {
+  for (std::size_t i = 1; i < N; ++i) {
+    if (!(info[i - 1].name < info[i].name)) return false;
+  }
+  return true;
+}
+static_assert(names_ascending(ctr::kInfo),
+              "ctr ids must be declared in name order");
+static_assert(names_ascending(hist::kInfo),
+              "hist ids must be declared in name order");
+
+/// The permanent registry handle of every built-in id, all registered by
+/// the first call.
+struct Builtins {
+  std::array<Counter*, ctr::kCount> counters{};
+  std::array<Histogram*, hist::kCount> hists{};
 };
 
+const Builtins& builtins() {
+  static const Builtins b = [] {
+    Builtins out;
+    MetricRegistry& reg = MetricRegistry::global();
+    for (std::size_t i = 0; i < ctr::kCount; ++i) {
+      out.counters[i] = reg.counter(ctr::kInfo[i].name);
+    }
+    for (std::size_t i = 0; i < hist::kCount; ++i) {
+      out.hists[i] = reg.histogram(hist::kInfo[i].name);
+    }
+    return out;
+  }();
+  return b;
+}
+
+/// Trace events and the dense thread ids they carry: the only telemetry
+/// state kept outside the metric registry.  Spans fire at pass granularity
+/// (a few thousand per compile at most), and only trace mode appends
+/// events, so one mutex is enough.
 struct Registry {
   Mutex mu;
-  // Node-stable maps: counter_slot / phase_cell hand out pointers to the
-  // heap cells, which stay valid (and lock-free to bump) after mu is
-  // released.
-  std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>> counters
-      AIS_GUARDED_BY(mu);
-  std::map<std::string, std::unique_ptr<PhaseCell>> phases AIS_GUARDED_BY(mu);
   std::vector<TraceEvent> events AIS_GUARDED_BY(mu);
   std::map<std::thread::id, int> thread_ids AIS_GUARDED_BY(mu);
-  // Bumped by reset() so the per-thread and per-call-site memos drop
-  // pointers into the cleared maps.  Not guarded: relaxed hot-path loads,
-  // release bumps.
-  std::atomic<std::uint64_t> generation{1};
 };
-
-// Published by registry() so the crash path (try_visit_counters via the
-// flight recorder) can reach the registry without risking an allocating
-// first call from inside a signal handler.
-std::atomic<Registry*> g_registry{nullptr};
 
 Registry& registry() {
-  static Registry* r = [] {
-    auto* created = new Registry;  // leaked: usable during static teardown
-    g_registry.store(created, std::memory_order_release);
-    return created;
-  }();
+  static Registry* r = new Registry;  // leaked: usable during static teardown
   return *r;
-}
-
-/// Per-thread counter-slot memo: count() on a warm name costs two map-free
-/// TLS lookups and one relaxed fetch_add — the registry mutex is only taken
-/// on each thread's first touch of a name (and again after reset(), which
-/// invalidates every memo by bumping the registry generation).
-struct TlsCounterSlots {
-  std::uint64_t generation = 0;
-  std::map<std::string, std::atomic<std::uint64_t>*, std::less<>> slots;
-};
-
-thread_local TlsCounterSlots t_counter_slots;
-
-std::atomic<std::uint64_t>& counter_slot(std::string_view name) {
-  Registry& r = registry();
-  const std::uint64_t gen = r.generation.load(std::memory_order_acquire);
-  if (t_counter_slots.generation != gen) {
-    t_counter_slots.slots.clear();
-    t_counter_slots.generation = gen;
-  }
-  if (const auto memo = t_counter_slots.slots.find(name);
-      memo != t_counter_slots.slots.end()) {
-    return *memo->second;
-  }
-  std::atomic<std::uint64_t>* slot = nullptr;
-  {
-    MutexLock lock(r.mu);
-    auto it = r.counters.find(std::string(name));
-    if (it == r.counters.end()) {
-      it = r.counters
-               .emplace(std::string(name),
-                        std::make_unique<std::atomic<std::uint64_t>>(0))
-               .first;
-    }
-    slot = it->second.get();
-  }
-  t_counter_slots.slots.emplace(std::string(name), slot);
-  return *slot;
-}
-
-/// The phase cell for `name`, registering it on first use.
-PhaseCell& phase_cell(const char* name) {
-  Registry& r = registry();
-  MutexLock lock(r.mu);
-  auto it = r.phases.find(name);
-  if (it == r.phases.end()) {
-    it = r.phases.emplace(name, std::make_unique<PhaseCell>()).first;
-  }
-  return *it->second;
-}
-
-/// Resolves `site`'s cached phase cell, re-registering after a reset().
-/// The publish order (slot relaxed, then gen release) pairs with the
-/// acquire gen load so a matching generation proves the slot points into
-/// the live map.
-PhaseCell& resolve_phase(SiteHandle* site, const char* name) {
-  Registry& r = registry();
-  const std::uint64_t gen = r.generation.load(std::memory_order_acquire);
-  if (site != nullptr && site->gen.load(std::memory_order_acquire) == gen) {
-    if (void* cell = site->slot.load(std::memory_order_relaxed)) {
-      return *static_cast<PhaseCell*>(cell);
-    }
-  }
-  PhaseCell& cell = phase_cell(name);
-  if (site != nullptr) {
-    site->slot.store(&cell, std::memory_order_relaxed);
-    site->gen.store(gen, std::memory_order_release);
-  }
-  return cell;
-}
-
-/// Per-thread histogram-handle memo for record_value().  No generation:
-/// MetricRegistry registrations are permanent (reset_values() zeroes values
-/// but never drops a series), so a memoized handle can never dangle.
-thread_local std::map<std::string, Histogram*, std::less<>> t_hist_slots;
-
-/// Names CounterRecorder refuses to capture: cache traffic ("cache.") and
-/// wall-clock distributions ("time.") describe the run, not the schedule —
-/// replaying either from a cache hit would double-count or smear timings.
-bool recorder_skips(std::string_view name) {
-  return name.substr(0, 6) == ctr::kCachePrefix ||
-         name.substr(0, 5) == ctr::kTimePrefix;
 }
 
 int thread_index() {
@@ -198,7 +125,12 @@ namespace {
 // the pool unhooked.
 bool sink_enabled() { return enabled(); }
 void sink_value(const char* name, std::uint64_t value) {
-  record_value(name, value);
+  for (std::size_t i = 0; i < hist::kCount; ++i) {
+    if (hist::kInfo[i].name == name) {
+      record_value(static_cast<hist::Id>(i), value);
+      return;
+    }
+  }
 }
 constexpr TelemetrySink kObsSink{&sink_enabled, &sink_value};
 const bool g_sink_installed = [] {
@@ -216,11 +148,13 @@ bool trace_enabled() {
 }
 
 void set_enabled(bool on) {
+  if (on) builtins();
   g_enabled.store(on, std::memory_order_relaxed);
   if (!on) g_trace_enabled.store(false, std::memory_order_relaxed);
 }
 
 void set_trace_enabled(bool on) {
+  if (on) builtins();
   g_trace_enabled.store(on, std::memory_order_relaxed);
   if (on) g_enabled.store(true, std::memory_order_relaxed);
 }
@@ -242,49 +176,41 @@ void init_from_env() {
 
 const std::string& env_trace_path() { return g_env_trace_path; }
 
-void count(std::string_view name, std::uint64_t delta) {
-  if (!t_recorders.empty()) {
-    for (CounterRecorder* r : t_recorders) r->record(name, delta);
+void count(ctr::Id id, std::uint64_t delta) {
+  if (!t_recorders.empty() && ctr::kInfo[id].replays) {
+    for (CounterRecorder* r : t_recorders) r->record(id, delta);
   }
   if (!enabled()) return;
-  counter_slot(name).fetch_add(delta, std::memory_order_relaxed);
+  builtins().counters[id]->add(delta);
 }
 
-void count_cached(SiteHandle& site, std::string_view name,
-                  std::uint64_t delta) {
-  if (!t_recorders.empty()) {
-    count(name, delta);  // per-event capture, then the registry if enabled
-    return;
+void count_named(std::string_view name, std::uint64_t delta) {
+  for (CounterRecorder* r : t_recorders) r->record_named(name, delta);
+  if (!enabled()) return;
+  MetricRegistry::global().counter(name)->add(delta);
+}
+
+void record_value(hist::Id id, std::uint64_t value) {
+  if (!t_recorders.empty() && hist::kInfo[id].replays) {
+    for (CounterRecorder* r : t_recorders) r->record_sample(id, value);
   }
   if (!enabled()) return;
-  Registry& r = registry();
-  const std::uint64_t gen = r.generation.load(std::memory_order_acquire);
-  if (site.gen.load(std::memory_order_acquire) == gen) {
-    if (void* slot = site.slot.load(std::memory_order_relaxed)) {
-      static_cast<std::atomic<std::uint64_t>*>(slot)->fetch_add(
-          delta, std::memory_order_relaxed);
-      return;
+  builtins().hists[id]->record(value);
+}
+
+std::uint64_t counter_value(ctr::Id id) {
+  return builtins().counters[id]->value();
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot() {
+  builtins();  // every id is listed, touched or not
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  for (const MetricSeries& s : MetricRegistry::global().snapshot()) {
+    if (s.type == MetricType::kCounter && s.labels.empty()) {
+      out.emplace_back(s.name, s.counter_value);
     }
   }
-  std::atomic<std::uint64_t>& slot = counter_slot(name);
-  site.slot.store(&slot, std::memory_order_relaxed);
-  site.gen.store(gen, std::memory_order_release);
-  slot.fetch_add(delta, std::memory_order_relaxed);
-}
-
-void record_value(std::string_view name, std::uint64_t value) {
-  if (!t_recorders.empty()) {
-    for (CounterRecorder* r : t_recorders) r->record_sample(name, value);
-  }
-  if (!enabled()) return;
-  auto it = t_hist_slots.find(name);
-  if (it == t_hist_slots.end()) {
-    it = t_hist_slots
-             .emplace(std::string(name),
-                      MetricRegistry::global().histogram(name))
-             .first;
-  }
-  it->second->record(value);
+  return out;  // the snapshot is already sorted by name
 }
 
 CounterRecorder::CounterRecorder(bool active) : active_(active) {
@@ -295,85 +221,71 @@ CounterRecorder::~CounterRecorder() {
   if (active_) t_recorders.pop_back();
 }
 
-void CounterRecorder::record(std::string_view name, std::uint64_t delta) {
-  if (recorder_skips(name)) return;
-  const auto it = deltas_.find(name);
-  if (it == deltas_.end()) {
-    deltas_.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
+CounterDeltas CounterRecorder::deltas() const {
+  CounterDeltas out;
+  for (std::size_t i = 0; i < ctr::kCount; ++i) {
+    if (touched_[i]) out.emplace_back(static_cast<ctr::Id>(i), deltas_[i]);
   }
+  return out;
 }
 
-void CounterRecorder::record_sample(std::string_view name,
-                                    std::uint64_t value) {
-  if (recorder_skips(name)) return;
-  const auto it = samples_.find(name);
-  if (it == samples_.end()) {
-    samples_.emplace(std::string(name), std::vector<std::uint64_t>{value});
-  } else {
-    it->second.push_back(value);
+ValueSamples CounterRecorder::value_samples() const {
+  ValueSamples out;
+  for (std::size_t i = 0; i < hist::kCount; ++i) {
+    if (!samples_[i].empty()) {
+      out.emplace_back(static_cast<hist::Id>(i), samples_[i]);
+    }
   }
+  return out;
 }
 
-void CounterRecorder::replay(
-    const std::map<std::string, std::uint64_t, std::less<>>& deltas) {
-  for (const auto& [name, delta] : deltas) count(name, delta);
+std::vector<std::pair<std::string, std::uint64_t>>
+CounterRecorder::touched_counters() const {
+  std::vector<std::pair<std::string, std::uint64_t>> out = named_;
+  for (const auto& [id, delta] : deltas()) {
+    out.emplace_back(std::string(ctr::kInfo[id].name), delta);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void CounterRecorder::record_named(std::string_view name,
+                                   std::uint64_t delta) {
+  for (auto& [n, d] : named_) {
+    if (n == name) {
+      d += delta;
+      return;
+    }
+  }
+  named_.emplace_back(std::string(name), delta);
+}
+
+void CounterRecorder::replay(const CounterDeltas& deltas) {
+  for (const auto& [id, delta] : deltas) count(id, delta);
 }
 
 void CounterRecorder::replay_values(const ValueSamples& samples) {
-  for (const auto& [name, values] : samples) {
-    for (const std::uint64_t v : values) record_value(name, v);
+  for (const auto& [id, values] : samples) {
+    for (const std::uint64_t v : values) record_value(id, v);
   }
 }
 
-std::uint64_t counter_value(std::string_view name) {
-  Registry& r = registry();
-  MutexLock lock(r.mu);
-  const auto it = r.counters.find(std::string(name));
-  return it == r.counters.end()
-             ? 0
-             : it->second->load(std::memory_order_relaxed);
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot() {
-  Registry& r = registry();
-  MutexLock lock(r.mu);
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(r.counters.size());
-  for (const auto& [name, value] : r.counters) {
-    out.emplace_back(name, value->load(std::memory_order_relaxed));
-  }
-  return out;  // std::map iteration order is already sorted by name
-}
-
-bool try_visit_counters(void (*fn)(void* ctx, const char* name,
-                                   std::uint64_t value),
-                        void* ctx) {
-  Registry* r = g_registry.load(std::memory_order_acquire);
-  if (r == nullptr) return true;  // never created: nothing to visit
-  if (!r->mu.try_lock()) return false;
-  for (const auto& [name, value] : r->counters) {
-    fn(ctx, name.c_str(), value->load(std::memory_order_relaxed));
-  }
-  r->mu.unlock();
-  return true;
+Histogram* phase_histogram(std::string_view name) {
+  return MetricRegistry::global().histogram(kPhaseMetric, {"phase", name});
 }
 
 namespace {
 
-/// Shared Span / DetailSpan close: folds the elapsed time into the phase
-/// cell lock-free, and takes the registry mutex only in full-trace mode to
-/// append the event.
-void close_span(SiteHandle* site, const char* name, std::int64_t start_us) {
+/// Shared Span / DetailSpan close: records the elapsed time into the phase
+/// histogram lock-free, and takes the registry mutex only in full-trace
+/// mode to append the event.
+void close_span(Histogram* phase, const char* name, std::int64_t start_us) {
   const std::int64_t end_us = Stopwatch::now_us();
   --t_depth;
   // A span that outlives a set_enabled(false) still closes its books; the
   // gate only stops *new* spans from activating.
-  PhaseCell& cell = resolve_phase(site, name);
-  cell.calls.fetch_add(1, std::memory_order_relaxed);
-  cell.total_us.fetch_add(static_cast<std::uint64_t>(end_us - start_us),
-                          std::memory_order_relaxed);
+  (phase != nullptr ? phase : phase_histogram(name))
+      ->record(static_cast<std::uint64_t>(end_us - start_us));
   if (trace_enabled()) {
     Registry& r = registry();
     const int tid = thread_index();
@@ -385,20 +297,11 @@ void close_span(SiteHandle* site, const char* name, std::int64_t start_us) {
 
 }  // namespace
 
-Span::Span(const char* name) : name_(name) {
+Span::Span(const char* name) : Span(nullptr, name) {}
+
+Span::Span(Histogram* phase, const char* name) : name_(name), phase_(phase) {
   if (flight_enabled()) {
     flight_ = true;  // remember: the gate may flip before the destructor
-    flight_record(name_, 'B');
-  }
-  if (!enabled()) return;
-  active_ = true;
-  start_us_ = Stopwatch::now_us();
-  ++t_depth;
-}
-
-Span::Span(SiteHandle& site, const char* name) : name_(name), site_(&site) {
-  if (flight_enabled()) {
-    flight_ = true;
     flight_record(name_, 'B');
   }
   if (!enabled()) return;
@@ -415,11 +318,11 @@ Span::~Span() {
                           : 0);
   }
   if (!active_) return;
-  close_span(site_, name_, start_us_);
+  close_span(phase_, name_, start_us_);
 }
 
-DetailSpan::DetailSpan(SiteHandle& site, const char* name)
-    : name_(name), site_(&site) {
+DetailSpan::DetailSpan(Histogram* phase, const char* name)
+    : name_(name), phase_(phase) {
   if (flight_enabled()) {
     flight_ = true;
     flight_record(name_, 'B');
@@ -438,10 +341,10 @@ DetailSpan::~DetailSpan() {
                           : 0);
   }
   if (!active_) return;
-  close_span(site_, name_, start_us_);
+  close_span(phase_, name_, start_us_);
 }
 
-ScopedTimer::ScopedTimer(const char* name) : name_(name) {
+ScopedTimer::ScopedTimer(hist::Id id) : id_(id) {
   if (!enabled()) return;
   active_ = true;
   start_us_ = Stopwatch::now_us();
@@ -449,23 +352,18 @@ ScopedTimer::ScopedTimer(const char* name) : name_(name) {
 
 ScopedTimer::~ScopedTimer() {
   if (!active_) return;
-  record_value(name_, static_cast<std::uint64_t>(Stopwatch::now_us() -
-                                                 start_us_));
+  record_value(id_, static_cast<std::uint64_t>(Stopwatch::now_us() -
+                                               start_us_));
 }
 
 std::vector<PhaseTotal> phase_totals() {
-  Registry& r = registry();
-  MutexLock lock(r.mu);
   std::vector<PhaseTotal> out;
-  out.reserve(r.phases.size());
-  for (const auto& [name, cell] : r.phases) {
-    PhaseTotal agg;
-    agg.name = name;
-    agg.calls = cell->calls.load(std::memory_order_relaxed);
-    agg.total_ms =
-        static_cast<double>(cell->total_us.load(std::memory_order_relaxed)) *
-        1e-3;
-    out.push_back(std::move(agg));
+  for (const MetricSeries& s : MetricRegistry::global().snapshot()) {
+    if (s.name != kPhaseMetric || s.labels.size() != 1 || s.hist.count == 0) {
+      continue;
+    }
+    out.push_back(PhaseTotal{s.labels[0].second, s.hist.count,
+                             static_cast<double>(s.hist.sum) * 1e-3});
   }
   std::sort(out.begin(), out.end(), [](const PhaseTotal& a,
                                        const PhaseTotal& b) {
@@ -521,19 +419,13 @@ bool write_chrome_trace(const std::string& path) {
 }
 
 void reset() {
-  // Callers must quiesce concurrent counting threads first (the same
-  // contract the un-memoized registry had: a thread between counter lookup
-  // and fetch_add would race the clear either way).
-  Registry& r = registry();
+  // Callers must quiesce concurrent counting threads first: zeroing is not
+  // linearizable against a racing add.
   {
+    Registry& r = registry();
     MutexLock lock(r.mu);
-    r.counters.clear();
-    r.phases.clear();
     r.events.clear();
   }
-  // Invalidate every thread's slot memo, then zero histogram values too so
-  // reset() means "fresh books" for the whole telemetry layer.
-  r.generation.fetch_add(1, std::memory_order_release);
   if (MetricRegistry* m = MetricRegistry::global_if_created()) {
     m->reset_values();
   }

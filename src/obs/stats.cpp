@@ -9,26 +9,6 @@
 
 namespace ais::obs {
 
-void register_builtin_counters() {
-  for (const char* name :
-       {ctr::kRankRuns, ctr::kRankInfeasible, ctr::kRankNodesRanked,
-        ctr::kRankIncrementalPasses, ctr::kRankNodesReranked,
-        ctr::kMergeCalls, ctr::kMergeRelaxRounds, ctr::kMergeFullRelaxRounds,
-        ctr::kMergeGallopProbes,
-        ctr::kIdleMoveAttempts, ctr::kIdleSlotsMoved,
-        ctr::kIdleMovesPrunedSaturated, ctr::kIdleMovesPrunedNoTail,
-        ctr::kIdleMovesPrunedNoRefill, ctr::kDeadlinesTightened,
-        ctr::kLoopCandidates, ctr::kLoopSurrogates,
-        ctr::kChopCalls, ctr::kChopPoints, ctr::kLookaheadBlocks,
-        ctr::kWindowSpanOverW, ctr::kSimRuns, ctr::kSimCycles,
-        ctr::kSimStallLatency, ctr::kSimStallWindow, ctr::kSimEvents,
-        ctr::kSimCyclesJumped,
-        ctr::kCacheHits, ctr::kCacheMisses, ctr::kCacheEvictions,
-        ctr::kCacheBytes, ctr::kCacheDiskHits, ctr::kCacheDiskWrites}) {
-    count(name, 0);
-  }
-}
-
 std::string profile_report() {
   std::ostringstream os;
 
@@ -49,11 +29,15 @@ std::string profile_report() {
   }
   os << '\n' << counters.to_string();
 
-  // Latency/size distributions, when any were recorded this run.
+  // Latency/size distributions, when any were recorded this run (phase
+  // spans are the table above).
   TextTable hists({"histogram", "count", "p50", "p90", "p99", "max"});
   bool any_hist = false;
   for (const MetricSeries& s : MetricRegistry::global().snapshot()) {
-    if (s.type != MetricType::kHistogram || s.hist.count == 0) continue;
+    if (s.type != MetricType::kHistogram || s.hist.count == 0 ||
+        s.name == kPhaseMetric) {
+      continue;
+    }
     any_hist = true;
     std::string name = s.name;
     for (const auto& [k, v] : s.labels) {

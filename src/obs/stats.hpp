@@ -7,14 +7,9 @@
 namespace ais::obs {
 
 /// The full `aisc --profile` report: a per-phase time table (phase, calls,
-/// total ms, mean ms) followed by every registered counter.  Pipeline
-/// counters that a reader will look for first are pre-registered at zero
-/// (register_builtin_counters) so the table is complete even for compiles
-/// that never hit a code path.
+/// total ms, mean ms) followed by every counter of counters_snapshot() —
+/// each built-in id, touched or not, so the table is complete even for
+/// compiles that never hit a code path — and the recorded distributions.
 std::string profile_report();
-
-/// Registers every built-in pipeline counter at its current value
-/// (creating missing ones at zero); a no-op while telemetry is disabled.
-void register_builtin_counters();
 
 }  // namespace ais::obs

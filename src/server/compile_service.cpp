@@ -128,8 +128,8 @@ void compile_ir(const std::string& ir_text, const CompileOptions& options,
   }
 
   // Capture this request's counter stream: the recorder sees every delta
-  // the calling thread issues (including cache-hit replays) and filters
-  // cache./time. — exactly the stream the differential tests compare.
+  // the calling thread issues (including cache-hit replays) of the ids that
+  // replay — exactly the stream the differential tests compare.
   obs::CounterRecorder recorder(options.profile);
 
   if (options.mode == "cfg") {
@@ -183,11 +183,7 @@ void compile_ir(const std::string& ir_text, const CompileOptions& options,
     }
   }
 
-  if (options.profile) {
-    for (const auto& [name, delta] : recorder.deltas()) {
-      reply->counters.emplace_back(name, delta);
-    }
-  }
+  if (options.profile) reply->counters = recorder.touched_counters();
   reply->ok = true;
   reply->asm_text = scratch.asm_text;
 }

@@ -23,7 +23,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/process_stats.hpp"
-#include "obs/stats.hpp"
 #include "server/admission.hpp"
 #include "server/compile_service.hpp"
 #include "server/protocol.hpp"
@@ -647,7 +646,6 @@ bool Server::start(std::string* error) {
   // the environment; mirrors what aisc does under --metrics-out.
   obs::init_from_env();
   obs::set_enabled(true);
-  obs::register_builtin_counters();
 
   for (int i = clamp_jobs(impl_->opts.threads); i > 0; --i) {
     impl_->workers.emplace_back([this] { impl_->worker_loop(); });

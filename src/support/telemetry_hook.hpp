@@ -9,11 +9,11 @@
 // pointer; the runtime-off cost adds the sink's own enabled() gate (one
 // more relaxed load).
 //
-// The sample names live here, next to the emitting code, so obs's metric
-// glossary (obs.hpp, docs/OBSERVABILITY.md) can alias rather than restate
-// them.  The "time." prefix marks wall-clock distributions: they describe
-// the run, not the schedule, so obs::CounterRecorder excludes them from
-// cache replay (see src/obs/obs.hpp).
+// The sample names live here, next to the emitting code; obs files each
+// under the built-in histogram id of the same name (obs::hist in
+// src/obs/obs.hpp).  The "time." prefix marks wall-clock distributions:
+// they describe the run, not the schedule, so their ids never replay
+// through the schedule cache.
 #pragma once
 
 #include <atomic>

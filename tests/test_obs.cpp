@@ -4,6 +4,7 @@
 // profile report, and the simulator's stall attribution invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <numeric>
 #include <sstream>
@@ -12,6 +13,7 @@
 
 #include "graph/depgraph.hpp"
 #include "machine/machine_model.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/stats.hpp"
 #include "sim/lookahead_sim.hpp"
@@ -157,11 +159,14 @@ TEST(Obs, HooksMatchTheConfiguredBuildOption) {
 
 TEST(Obs, DisabledRuntimeRecordsNothing) {
   fresh(/*enabled=*/false);
-  obs::count("never", 7);
+  obs::count(obs::ctr::kRankRuns, 7);
   { AIS_OBS_SPAN("ghost"); }
   AIS_OBS_COUNT_DYN(std::string("dyn.") + "ghost", 1);
-  EXPECT_EQ(obs::counter_value("never"), 0u);
-  EXPECT_TRUE(obs::counters_snapshot().empty());
+  EXPECT_EQ(obs::counter_value(obs::ctr::kRankRuns), 0u);
+  for (const auto& [name, value] : obs::counters_snapshot()) {
+    EXPECT_EQ(value, 0u) << name;
+    EXPECT_NE(name, "dyn.ghost");
+  }
   EXPECT_TRUE(obs::phase_totals().empty());
   EXPECT_TRUE(obs::trace_events().empty());
 }
@@ -197,19 +202,33 @@ TEST(Obs, InitFromEnvHonoursAisTrace) {
 
 // --- counters -----------------------------------------------------------
 
-TEST(Obs, CountersAreMonotoneAndRegisterOnFirstTouch) {
+TEST(Obs, CountersAreMonotoneAndEveryIdIsListed) {
   fresh(/*enabled=*/true);
-  obs::count("a.zero", 0);  // registers without changing the value
-  EXPECT_EQ(obs::counter_value("a.zero"), 0u);
-  obs::count("a.bumped");
-  obs::count("a.bumped", 4);
-  EXPECT_EQ(obs::counter_value("a.bumped"), 5u);
-  EXPECT_EQ(obs::counter_value("a.untouched"), 0u);
+  obs::count(obs::ctr::kChopCalls, 0);  // touches without changing the value
+  EXPECT_EQ(obs::counter_value(obs::ctr::kChopCalls), 0u);
+  obs::count(obs::ctr::kChopPoints);
+  obs::count(obs::ctr::kChopPoints, 4);
+  EXPECT_EQ(obs::counter_value(obs::ctr::kChopPoints), 5u);
+  EXPECT_EQ(obs::counter_value(obs::ctr::kMergeCalls), 0u);
 
+  // Every built-in id is registered from the start, in name order.
   const auto snap = obs::counters_snapshot();
-  ASSERT_EQ(snap.size(), 2u);  // untouched names do not appear
-  EXPECT_EQ(snap[0].first, "a.bumped");
-  EXPECT_EQ(snap[1].first, "a.zero");
+  std::vector<std::string> names;
+  for (const auto& [name, value] : snap) names.push_back(name);
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  for (const obs::MetricInfo& info : obs::ctr::kInfo) {
+    EXPECT_NE(std::find(names.begin(), names.end(), info.name), names.end())
+        << info.name;
+  }
+}
+
+TEST(Obs, NamedCountersAreRegistryCountersOfThatName) {
+  fresh(/*enabled=*/true);
+  obs::count_named("verify.diag.unit-test", 2);
+  AIS_OBS_COUNT_DYN(std::string("verify.diag.") + "unit-test", 1);
+  EXPECT_EQ(
+      obs::MetricRegistry::global().counter("verify.diag.unit-test")->value(),
+      obs::kHooksCompiledIn ? 3u : 2u);
 }
 
 TEST(Obs, CountersSumAcrossThreads) {
@@ -219,22 +238,25 @@ TEST(Obs, CountersSumAcrossThreads) {
   std::vector<std::thread> workers;
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([] {
-      for (int i = 0; i < kIncrements; ++i) obs::count("mt.hits");
+      for (int i = 0; i < kIncrements; ++i) obs::count(obs::ctr::kMergeCalls);
     });
   }
   for (std::thread& t : workers) t.join();
-  EXPECT_EQ(obs::counter_value("mt.hits"),
+  EXPECT_EQ(obs::counter_value(obs::ctr::kMergeCalls),
             static_cast<std::uint64_t>(kThreads) * kIncrements);
 }
 
-TEST(Obs, ResetClearsCountersPhasesAndEvents) {
+TEST(Obs, ResetZeroesCountersPhasesAndEvents) {
   fresh(/*enabled=*/true, /*trace=*/true);
-  obs::count("gone", 3);
+  obs::count(obs::ctr::kSimRuns, 3);
   { obs::Span span("gone_phase"); }
   obs::reset();
-  EXPECT_TRUE(obs::counters_snapshot().empty());
+  EXPECT_EQ(obs::counter_value(obs::ctr::kSimRuns), 0u);
   EXPECT_TRUE(obs::phase_totals().empty());
   EXPECT_TRUE(obs::trace_events().empty());
+  // reset() unregisters nothing: the ids still count afterwards.
+  obs::count(obs::ctr::kSimRuns, 2);
+  EXPECT_EQ(obs::counter_value(obs::ctr::kSimRuns), 2u);
 }
 
 // --- spans and trace events ---------------------------------------------
@@ -302,7 +324,7 @@ TEST(Obs, ChromeTraceIsWellFormedJson) {
   {
     obs::Span compile_span("compile");
     obs::Span quoted_span("rank \"quoted\"\n");  // exercises escaping
-    obs::count("rank.runs", 2);
+    obs::count(obs::ctr::kRankRuns, 2);
   }
   std::ostringstream os;
   obs::write_chrome_trace(os);
@@ -322,15 +344,13 @@ TEST(Obs, ChromeTraceWithNoEventsIsStillValid) {
 
 // --- profile report -----------------------------------------------------
 
-TEST(Obs, RegisterBuiltinCountersMakesProfileComplete) {
+TEST(Obs, ProfileListsEveryBuiltinCounter) {
   fresh(/*enabled=*/true);
-  obs::register_builtin_counters();
-  const auto snap = obs::counters_snapshot();
-  EXPECT_GE(snap.size(), 8u);  // the acceptance bar for `aisc --profile`
+  EXPECT_GE(obs::counters_snapshot().size(), 8u);  // the `aisc --profile` bar
   EXPECT_EQ(obs::counter_value(obs::ctr::kChopPoints), 0u);
   const std::string report = obs::profile_report();
-  EXPECT_NE(report.find(obs::ctr::kRankRuns), std::string::npos);
-  EXPECT_NE(report.find(obs::ctr::kSimStallWindow), std::string::npos);
+  EXPECT_NE(report.find("rank.runs"), std::string::npos);
+  EXPECT_NE(report.find("sim.stall.window"), std::string::npos);
 }
 
 // --- simulator stall attribution ----------------------------------------

@@ -159,7 +159,8 @@ TEST(ScheduleCache, TraceValueRoundTrip) {
   v.order = {0, 2, 1, 3};
   v.merged_makespans = {4};
   v.prefixes_emitted = 1;
-  v.counter_deltas["merge.rounds"] = 3;
+  v.counter_deltas = {{obs::ctr::kMergeRelaxRounds, 3}, {obs::ctr::kRankRuns, 0}};
+  v.value_samples = {{obs::hist::kChopPrefixLen, {4, 9}}};
   cache.insert_trace(key, v);
 
   const auto hit = cache.lookup_trace(key);
@@ -168,6 +169,7 @@ TEST(ScheduleCache, TraceValueRoundTrip) {
   EXPECT_EQ(hit->merged_makespans, v.merged_makespans);
   EXPECT_EQ(hit->prefixes_emitted, 1u);
   EXPECT_EQ(hit->counter_deltas, v.counter_deltas);
+  EXPECT_EQ(hit->value_samples, v.value_samples);
 }
 
 TEST(ScheduleCache, CertificateRejectsDependenceViolations) {
@@ -316,6 +318,15 @@ TEST(ScheduleCache, CorruptDiskEntriesDegradeToMisses) {
               sizeof v4);  // the key's own format field, after its kind
   rewrite(v4_entry);
   miss("format v4 entry");
+
+  // A format v5 entry, whose counter deltas were keyed by name, is a miss
+  // under v6's id-keyed values.
+  std::string v5_entry = blob;
+  const std::uint32_t v5 = 5;
+  std::memcpy(v5_entry.data() + 4, &v5, sizeof v5);
+  std::memcpy(v5_entry.data() + 4 + 4 + 4 + 8 + 8 + 1, &v5, sizeof v5);
+  rewrite(v5_entry);
+  miss("format v5 entry");
 
   // And the pristine bytes still hit, so the misses above were the
   // corruption's doing.

@@ -506,12 +506,7 @@ TEST(SimOracle, EventCountersDecomposeSimulatedCycles) {
   DepGraph g = random_block(prng, params);
   const std::vector<NodeId> list = random_topo_list(prng, g, all_nodes(g));
 
-  const auto value = [](const char* key) {
-    for (const auto& kv : obs::counters_snapshot()) {
-      if (kv.first == key) return kv.second;
-    }
-    return std::uint64_t{0};
-  };
+  const auto value = obs::counter_value;
   const std::uint64_t cycles0 = value(obs::ctr::kSimCycles);
   const std::uint64_t events0 = value(obs::ctr::kSimEvents);
   const std::uint64_t jumped0 = value(obs::ctr::kSimCyclesJumped);

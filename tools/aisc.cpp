@@ -173,7 +173,6 @@ int main(int argc, char** argv) {
   if (telemetry.profile) obs::set_enabled(true);
   if (!telemetry.trace_path.empty()) obs::set_trace_enabled(true);
   if (!telemetry.metrics_path.empty()) obs::set_enabled(true);
-  if (obs::enabled()) obs::register_builtin_counters();
 
   server::WorkerScratch scratch;
   server::Response reply;

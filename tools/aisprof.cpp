@@ -202,8 +202,10 @@ int run_random_survey(const CliArgs& args) {
   t.add_row({"stall cycles (window / total)",
              std::to_string(window_stall_total) + " / " +
                  std::to_string(stall_total)});
-  std::printf("window-span survey (counter %s):\n%s",
-              obs::ctr::kWindowSpanOverW, t.to_string().c_str());
+  std::printf(
+      "window-span survey (counter %s):\n%s",
+      std::string(obs::ctr::kInfo[obs::ctr::kWindowSpanOverW].name).c_str(),
+      t.to_string().c_str());
   return 0;
 }
 
@@ -218,7 +220,6 @@ int main(int argc, char** argv) {
   if (!cache_dir.empty()) ScheduleCache::global().set_disk_dir(cache_dir);
   obs::init_from_env();
   obs::set_enabled(true);
-  obs::register_builtin_counters();
 
   if (args.has("random-traces")) return run_random_survey(args);
 
