@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/obs.hpp"
 #include "support/assert.hpp"
 
 namespace ais {
@@ -9,6 +10,8 @@ namespace ais {
 LoopSimResult simulate_loop(const DepGraph& g, const MachineModel& machine,
                             const std::vector<NodeId>& per_iteration_list,
                             int window, int iterations) {
+  AIS_OBS_SPAN("sim.loop");
+  AIS_OBS_COUNT(obs::ctr::kSimLoopRuns);
   AIS_CHECK(window >= 1, "window must be positive");
   AIS_CHECK(iterations >= 1, "need at least one iteration");
   const std::size_t body = per_iteration_list.size();
