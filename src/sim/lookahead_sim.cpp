@@ -176,8 +176,10 @@ SimResult simulate_list(const DepGraph& g, const MachineModel& machine,
       static_cast<Time>(n + 1) * (g.max_latency() + g.max_exec_time()) + 1;
 
   Time t = 0;
-  Time t_final = 0;
-  std::uint64_t events = 0;
+  // Read only by the telemetry hooks at the end, which an AIS_OBS=OFF
+  // build compiles out.
+  [[maybe_unused]] Time t_final = 0;
+  [[maybe_unused]] std::uint64_t events = 0;
   while (remaining > 0) {
     AIS_CHECK(t <= t_limit, "simulator failed to make progress");
     ++events;
