@@ -4,7 +4,7 @@
 
 namespace ais::obs {
 
-std::size_t histogram_bucket_index(std::uint64_t value) {
+std::size_t histogram_bucket_index_search(std::uint64_t value) {
   const auto it = std::lower_bound(kHistogramBucketBounds.begin(),
                                    kHistogramBucketBounds.end(), value);
   return static_cast<std::size_t>(it - kHistogramBucketBounds.begin());
@@ -50,8 +50,8 @@ HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot s;
   for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
     s.counts[i] = counts_[i].load(std::memory_order_relaxed);
+    s.count += s.counts[i];
   }
-  s.count = count_.load(std::memory_order_relaxed);
   s.sum = sum_.load(std::memory_order_relaxed);
   s.max = max_.load(std::memory_order_relaxed);
   return s;
@@ -59,7 +59,6 @@ HistogramSnapshot Histogram::snapshot() const {
 
 void Histogram::reset_values() {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
 }

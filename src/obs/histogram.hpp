@@ -2,10 +2,11 @@
 //
 // A Histogram is a fixed array of relaxed atomics — record() is lock-free
 // and wait-free apart from the max CAS loop, safe from any thread, and
-// costs a ~7-step binary search plus four relaxed atomic RMWs.  Bucket
-// upper bounds grow by roughly x1.2 per bucket (u[i+1] = u[i] + max(1,
-// u[i]/5)), which keeps the relative quantile error under ~20% across the
-// full range while the low buckets stay exact (width 1 up to 10).  With
+// costs a ~7-step binary search plus two relaxed atomic RMWs and a max
+// check.  Bucket upper bounds grow by roughly x1.2 per bucket (u[i+1] =
+// u[i] + max(1, u[i]/5)), which keeps the relative quantile error under
+// ~20% across the full range while the low buckets stay exact (width 1 up
+// to 10).  With
 // 128 buckets the range runs from 1 to ~2.9e9 before the +infinity
 // catch-all — recording microseconds, that is sub-µs to ~48 minutes.
 //
@@ -47,8 +48,32 @@ constexpr std::array<std::uint64_t, kHistogramBuckets> make_bucket_bounds() {
 inline constexpr std::array<std::uint64_t, kHistogramBuckets>
     kHistogramBucketBounds = detail::make_bucket_bounds();
 
-/// Index of the bucket covering `value` (branch-free binary search).
-std::size_t histogram_bucket_index(std::uint64_t value);
+namespace detail {
+/// Bucket index of every value below kSmallValues: most recorded values
+/// (span and compile microseconds, chop prefix lengths) are small, and a
+/// table read is cheaper than the binary search.
+inline constexpr std::size_t kSmallValues = 64;
+constexpr std::array<std::uint8_t, kSmallValues> make_small_index() {
+  std::array<std::uint8_t, kSmallValues> index{};
+  std::size_t b = 0;
+  for (std::size_t v = 0; v < kSmallValues; ++v) {
+    while (kHistogramBucketBounds[b] < v) ++b;
+    index[v] = static_cast<std::uint8_t>(b);
+  }
+  return index;
+}
+inline constexpr std::array<std::uint8_t, kSmallValues> kSmallBucketIndex =
+    make_small_index();
+}  // namespace detail
+
+/// Index of the bucket covering larger values (binary search).
+std::size_t histogram_bucket_index_search(std::uint64_t value);
+
+/// Index of the bucket covering `value`.
+inline std::size_t histogram_bucket_index(std::uint64_t value) {
+  return value < detail::kSmallValues ? detail::kSmallBucketIndex[value]
+                                      : histogram_bucket_index_search(value);
+}
 
 struct HistogramSnapshot {
   std::array<std::uint64_t, kHistogramBuckets> counts{};
@@ -82,13 +107,13 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   /// Lock-free; relaxed ordering throughout.  Concurrent record()s never
-  /// lose counts (fetch_add) — only snapshot() taken mid-storm may see a
-  /// count/bucket total momentarily out of sync, which merge-based readers
-  /// tolerate.
+  /// lose counts (fetch_add) — only snapshot() taken mid-storm may see the
+  /// sum momentarily out of step with the buckets, which merge-based readers
+  /// tolerate.  The total count is the buckets' sum, so it needs no counter
+  /// of its own.
   void record(std::uint64_t value) {
     counts_[histogram_bucket_index(value)].fetch_add(
         1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
     std::uint64_t prev = max_.load(std::memory_order_relaxed);
     while (prev < value && !max_.compare_exchange_weak(
@@ -104,7 +129,6 @@ class Histogram {
 
  private:
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> counts_{};
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
 };
