@@ -3,9 +3,10 @@
 // The paper defers empirical evaluation; §4.1 argues the deadline-relaxation
 // loop does not change the asymptotic cost.  This bench measures wall time
 // of the Rank Algorithm, Delay_Idle_Slots and full Algorithm Lookahead as
-// block / trace size grows, the IR front end (parse, dependence build) and
-// a whole warm request around them, and the verifier's dependence
-// derivation and whole-program check.
+// block / trace size grows, the loop search and its steady-state simulator,
+// the IR front end (parse, dependence build) and a whole warm request
+// around them, and the verifier's dependence derivation and whole-program
+// check.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "cfg/cfg.hpp"
 #include "cfg/trace_select.hpp"
 #include "core/lookahead.hpp"
+#include "core/loop_single.hpp"
 #include "core/merge.hpp"
 #include "core/move_idle.hpp"
 #include "core/rank.hpp"
@@ -26,6 +28,7 @@
 #include "machine/machine_model.hpp"
 #include "server/compile_service.hpp"
 #include "sim/lookahead_sim.hpp"
+#include "sim/loop_sim.hpp"
 #include "verify/ir_deps.hpp"
 #include "workloads/random_graphs.hpp"
 #include "workloads/random_ir.hpp"
@@ -476,6 +479,38 @@ BENCHMARK(BM_LoopSearchLong)
     ->Arg(200)
     ->Arg(300)
     ->Unit(benchmark::kMillisecond);
+
+/// The loop simulator on the orders the §5.2.3 search scores: every
+/// distinct candidate order of loop_bodies' 256 seed-1 loops (N = 12
+/// instructions), or of one random_ir_loop of N = 96 (seed 1), each through
+/// steady_state_period on rs6000 at W = 2.  Each benchmark iteration is one
+/// call, cycling through the orders, so the time is per call.
+void BM_SteadyStatePeriod(benchmark::State& state) {
+  const int insts = static_cast<int>(state.range(0));
+  const MachineModel machine = rs6000_like();
+  Prng prng(1);
+  RandomIrParams ir;
+  ir.num_insts = insts;
+  std::vector<DepGraph> graphs;
+  std::vector<std::pair<std::size_t, std::vector<NodeId>>> orders;
+  for (int i = 0; i < (insts == 12 ? 256 : 1); ++i) {
+    graphs.push_back(build_loop_graph(random_ir_loop(prng, ir), machine));
+    schedule_single_block_loop(graphs.back(), machine,
+                               [&](const std::vector<NodeId>& order) {
+                                 orders.emplace_back(graphs.size() - 1, order);
+                                 return 0.0;
+                               });
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& [graph, order] = orders[next];
+    benchmark::DoNotOptimize(
+        steady_state_period(graphs[graph], machine, order, /*window=*/2));
+    next = next + 1 == orders.size() ? 0 : next + 1;
+  }
+  state.counters["orders"] = static_cast<double>(orders.size());
+}
+BENCHMARK(BM_SteadyStatePeriod)->Arg(12)->Arg(96);
 
 // --- IR front end ---------------------------------------------------------
 
