@@ -53,9 +53,11 @@ void Report::note(std::string code, std::string message, int block,
 }
 
 void Report::merge(const Report& other) {
-  for (const Diagnostic& d : other.diags_) {
-    add(d.severity, d.code, d.message, d.block, d.subject);
-  }
+  // `other` counted its findings when it recorded them; counting them again
+  // here would bump verify.diag.<code> once per report they pass through.
+  diags_.insert(diags_.end(), other.diags_.begin(), other.diags_.end());
+  num_errors_ += other.num_errors_;
+  num_warnings_ += other.num_warnings_;
 }
 
 bool Report::has(std::string_view code) const {

@@ -42,7 +42,8 @@ class Report {
   void note(std::string code, std::string message, int block = -1,
             std::string subject = {});
 
-  /// Appends all of `other`'s diagnostics.
+  /// Appends all of `other`'s diagnostics and tallies; each finding's
+  /// verify.diag.<code> count stays the one `other` made when recording it.
   void merge(const Report& other);
 
   /// True when no error-severity diagnostic was recorded (warnings/notes

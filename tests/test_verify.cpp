@@ -22,6 +22,8 @@
 #include "ir/asm_parser.hpp"
 #include "ir/depbuild.hpp"
 #include "machine/machine_model.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "support/prng.hpp"
 #include "verify/ir_deps.hpp"
 #include "verify/lint.hpp"
@@ -148,6 +150,29 @@ TEST(IrDeps, GraphFromIrMatchesTraceShape) {
 }
 
 // ---- Lint rules ----------------------------------------------------------
+
+TEST(Report, MergedFindingIsCountedOnce) {
+  obs::set_enabled(true);
+  const obs::Counter* counter =
+      obs::MetricRegistry::global().counter("verify.diag.merge-test");
+  const std::uint64_t before = counter->value();
+  Report check;
+  check.warning("merge-test", "one finding");
+  Report pass;
+  pass.merge(check);
+  Report whole;
+  whole.error("other-test", "another finding");
+  whole.merge(pass);
+  obs::set_enabled(false);
+
+  EXPECT_EQ(counter->value() - before, obs::kHooksCompiledIn ? 1u : 0u);
+  ASSERT_EQ(whole.diagnostics().size(), 2u);
+  EXPECT_EQ(whole.diagnostics()[1].code, "merge-test");
+  EXPECT_EQ(whole.num_errors(), 1u);
+  EXPECT_EQ(whole.num_warnings(), 1u);
+  EXPECT_EQ(pass.num_warnings(), 1u);
+  EXPECT_TRUE(pass.ok());
+}
 
 TEST(Lint, CleanProgramHasNoErrors) {
   const Report r = verify::lint_program(parse_program(kTwoBlock));
