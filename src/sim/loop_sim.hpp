@@ -18,6 +18,13 @@ struct LoopSimResult {
   Time completion = 0;
   /// Completion time of the last instruction of each iteration.
   std::vector<Time> iteration_finish;
+  /// The period the simulator skipped ahead by, or 0 and 0 when it
+  /// simulated every cycle: the machine state at one iteration boundary
+  /// recurred `period_iterations` iterations and `period_cycles` cycles
+  /// later, so whole periods were copied instead of simulated (the results
+  /// above are exactly those of the full simulation either way).
+  int period_iterations = 0;
+  Time period_cycles = 0;
 };
 
 /// Simulates `iterations` repetitions of `per_iteration_list` (a permutation
