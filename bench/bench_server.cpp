@@ -2,16 +2,16 @@
 // repeated-body request mix, reporting cold-cache vs warm-cache latency
 // from the daemon's own server_request_us histogram (snapshot deltas per
 // phase), unix-vs-TCP warm throughput, a two-tenant QoS contention
-// experiment, a shard-count contention sweep, and a leak gate over the
-// soak (resident set must stop growing once the per-worker scratch pools
-// and the schedule cache reach steady state).  CI perf-smoke runs this via
-// scripts/bench_json.sh; see docs/SERVER.md.
+// experiment, and a leak gate over the soak (resident set must stop
+// growing once the per-worker scratch pools and the schedule cache reach
+// steady state).  CI perf-smoke runs this via scripts/bench_json.sh; see
+// docs/SERVER.md.
 //
 //   bench_server [--requests N] [--bodies B] [--clients C] [--threads T]
 //                [--blocks N] [--insts K] [--window W] [--machine NAME]
-//                [--seed S] [--shards "1,4,16,64"] [--sweep-clients "64,128"]
-//                [--json FILE] [--min-warm-speedup X] [--max-rss-growth-mb MB]
-//                [--min-tcp-ratio X] [--qos-requests N] [--qos-bulk-clients N]
+//                [--seed S] [--json FILE] [--min-warm-speedup X]
+//                [--max-rss-growth-mb MB] [--min-tcp-ratio X]
+//                [--qos-requests N] [--qos-bulk-clients N]
 //                [--qos-bulk-depth N] [--max-qos-p99-factor X]
 //                [--min-fifo-qos-ratio X]
 //
@@ -37,8 +37,6 @@
 //          Gates: the QoS arm's interactive p99 within
 //          --max-qos-p99-factor of uncontended, and FIFO at least
 //          --min-fifo-qos-ratio worse than QoS.
-//   sweep: per (clients, shard count), cache rebuilt + primed, then a
-//          timed burst; reported as requests/second.
 #include <unistd.h>
 
 #include <algorithm>
@@ -47,7 +45,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -171,16 +168,6 @@ DriveStats drive(const Target& target, std::size_t requests,
   stats.errors = errors.load();
   stats.elapsed_s = std::chrono::duration<double>(t1 - t0).count();
   return stats;
-}
-
-std::vector<std::size_t> parse_counts(const std::string& spec) {
-  std::vector<std::size_t> out;
-  std::istringstream in(spec);
-  std::string tok;
-  while (std::getline(in, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stoul(tok));
-  }
-  return out;
 }
 
 std::int64_t percentile(std::vector<std::int64_t>& latencies, double p) {
@@ -366,10 +353,6 @@ int main(int argc, char** argv) {
       args.get_double("max-qos-p99-factor", 0.0);
   const double min_fifo_qos_ratio =
       args.get_double("min-fifo-qos-ratio", 0.0);
-  const std::vector<std::size_t> shard_counts =
-      parse_counts(args.get_string("shards", "1,4,16,64"));
-  const std::vector<std::size_t> sweep_clients =
-      parse_counts(args.get_string("sweep-clients", ""));
 
   // Body pool: `bodies` distinct traces; a request mix drawn uniformly from
   // it re-compiles every body requests/bodies times — the repeated-body
@@ -466,36 +449,6 @@ int main(int argc, char** argv) {
   const double tcp_ratio =
       unix_burst.rps() > 0 ? tcp_burst.rps() / unix_burst.rps() : 0.0;
 
-  // --- shard sweep: contention on the shared cache ------------------------
-  // The server is quiescent between phases (every drive() call joins its
-  // clients after their last reply), which is what set_shard_count needs.
-  struct SweepRow {
-    std::size_t clients = 0;
-    std::size_t shards = 0;
-    double rps = 0;
-  };
-  std::vector<SweepRow> sweep;
-  auto run_sweep_point = [&](std::size_t n_clients, std::size_t n_shards) {
-    cache.set_shard_count(n_shards);
-    drive(unix_target, bodies, n_clients, machine, window,
-          [&](std::size_t id) -> const std::string& {
-            return pool[id % bodies];
-          });
-    const DriveStats burst =
-        drive(unix_target, burst_requests, n_clients, machine, window,
-              pick_burst);
-    sweep.push_back({n_clients, cache.shard_count(), burst.rps()});
-  };
-  for (const std::size_t n : shard_counts) run_sweep_point(clients, n);
-  // Optional high-fan-out matrix (--sweep-clients): every extra client
-  // count crossed with every shard count.
-  for (const std::size_t extra_clients : sweep_clients) {
-    for (const std::size_t n : shard_counts) {
-      run_sweep_point(extra_clients, n);
-    }
-  }
-  cache.set_shard_count(ScheduleCache::kNumShards);
-
   server.stop();
 
   // --- qos phase: two tenant classes on dedicated single-worker servers ---
@@ -558,10 +511,6 @@ int main(int argc, char** argv) {
               "fifo=%.0fus (%.1fx) qos=%.0fus (%.1fx)\n",
               uncontended.interactive_p99_us, fifo.interactive_p99_us,
               fifo_factor, qos.interactive_p99_us, qos_factor);
-  for (const SweepRow& row : sweep) {
-    std::printf("bench_server: clients=%zu shards=%zu %.1f req/s\n",
-                row.clients, row.shards, row.rps);
-  }
 
   const std::string json_path = args.get_string("json", "");
   if (!json_path.empty()) {
@@ -595,14 +544,7 @@ int main(int argc, char** argv) {
         << ", \"fifo_p99_us\": " << fifo.interactive_p99_us
         << ", \"fifo_factor\": " << fifo_factor
         << ", \"qos_p99_us\": " << qos.interactive_p99_us
-        << ", \"qos_factor\": " << qos_factor << "}"
-        << ", \"shards\": [";
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      out << (i > 0 ? ", " : "") << "{\"clients\": " << sweep[i].clients
-          << ", \"shards\": " << sweep[i].shards
-          << ", \"rps\": " << sweep[i].rps << "}";
-    }
-    out << "]}\n";
+        << ", \"qos_factor\": " << qos_factor << "}}\n";
   }
 
   int rc = 0;

@@ -147,9 +147,6 @@ def row_from_server(path):
         "warm_mean_us": round(report["warm_mean_us"], 1),
         "warm_speedup_mean": round(report["warm_speedup_mean"], 3),
         "rss_growth_mb": report["rss_growth_mb"],
-        "shard_sweep_rps": {f"c{s['clients']}/s{s['shards']}":
-                            round(s["rps"], 1)
-                            for s in report.get("shards", [])},
     }
     tcp = report.get("tcp")
     if tcp:

@@ -55,7 +55,6 @@ EXAMPLES=$(dirname "$0")/../examples
 "$BUILD/bench/bench_server" --requests 100000 \
     --min-warm-speedup 3 --max-rss-growth-mb 64 \
     --min-tcp-ratio 0.85 --max-qos-p99-factor 3 --min-fifo-qos-ratio 1.3 \
-    --shards 1,16,64,256 --sweep-clients 64,128,256 \
     --json "$TMP/server.json" > /dev/null
 
 python3 "$(dirname "$0")/bench_json.py" \

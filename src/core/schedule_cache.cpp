@@ -10,14 +10,15 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <functional>
 #include <list>
-#include <map>
 #include <mutex>
 #include <span>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -89,30 +90,6 @@ class Reader {
   bool ok_ = true;
 };
 
-// --- hashing --------------------------------------------------------------
-
-/// splitmix64 finalizer: the bijective mixer every label and accumulator
-/// goes through, so commutative sums of mixed values stay well-distributed.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// FNV-1a over raw bytes; seeds the structural hash with the scalar
-/// (node-id-free) prefix of the key.
-std::uint64_t hash_bytes(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kInSalt = 0x8e2a4f7d9c1b3e55ULL;
-constexpr std::uint64_t kOutSalt = 0x41c64e6da3b59f21ULL;
 constexpr char kTraceKind = 'T';
 constexpr std::uint32_t kNoBlock = 0xffffffffU;
 
@@ -137,57 +114,8 @@ struct DenseEdge {
   std::uint32_t latency = 0;
 };
 
-/// The Weisfeiler–Leman-style structural hash: per-node labels from local
-/// attributes, refined by two rounds of commutative in/out-neighborhood
-/// accumulation, folded into an order-independent digest.  Invariant under
-/// any isomorphic relabeling of the dense instance (sums and xors commute;
-/// nothing reads a node's positional id).
-std::uint64_t wl_hash(std::uint64_t seed, bool has_tie, const DenseNode* nodes,
-                      std::size_t n, const DenseEdge* edges, std::size_t m,
-                      Arena& scratch) {
-  std::uint64_t* cur = scratch.alloc_array<std::uint64_t>(n);
-  std::uint64_t* nxt = scratch.alloc_array<std::uint64_t>(n);
-  std::uint64_t* in_acc = scratch.alloc_array<std::uint64_t>(n);
-  std::uint64_t* out_acc = scratch.alloc_array<std::uint64_t>(n);
-
-  for (std::size_t v = 0; v < n; ++v) {
-    const DenseNode& node = nodes[v];
-    std::uint64_t h = mix64(seed ^ ((static_cast<std::uint64_t>(node.exec)
-                                     << 32U) |
-                                    node.fu));
-    h = mix64(h ^ node.block_pos);
-    if (has_tie) h = mix64(h ^ static_cast<std::uint64_t>(node.tie));
-    cur[v] = h;
-  }
-
-  for (int round = 0; round < 2; ++round) {
-    std::fill_n(in_acc, n, std::uint64_t{0});
-    std::fill_n(out_acc, n, std::uint64_t{0});
-    for (std::size_t e = 0; e < m; ++e) {
-      const DenseEdge& edge = edges[e];
-      const std::uint64_t lat = mix64(edge.latency);
-      out_acc[edge.from] += mix64(cur[edge.to] ^ lat ^ kOutSalt);
-      in_acc[edge.to] += mix64(cur[edge.from] ^ lat ^ kInSalt);
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      nxt[v] = mix64(cur[v] + 3 * mix64(in_acc[v]) + 5 * mix64(out_acc[v]));
-    }
-    std::swap(cur, nxt);
-  }
-
-  std::uint64_t sum = 0;
-  std::uint64_t xored = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::uint64_t h = mix64(cur[v]);
-    sum += h;
-    xored ^= h;
-  }
-  return mix64(seed ^ sum) ^
-         mix64(xored + (static_cast<std::uint64_t>(n) << 32U) + m);
-}
-
-/// Per-thread scratch for key building and hashing; reset at every use, so
-/// it converges on the peak instance size and stops allocating.
+/// Per-thread scratch for key building; reset at every use, so it
+/// converges on the peak instance size and stops allocating.
 Arena& key_scratch() {
   thread_local Arena arena;
   return arena;
@@ -226,7 +154,7 @@ class Writer {
 
 /// Length of the scalar, node-id-free key prefix (everything before the
 /// `n` field): kind + versions, machine shape, timing table, window, huge,
-/// flags and the raw block count.  The structural hash is seeded with it.
+/// flags and the raw block count.
 std::size_t prefix_length(std::uint32_t num_classes) {
   std::size_t len = 1 + 4 + 4;                       // kind + versions
   len += 4 + 4 + 4ULL * num_classes;                 // machine shape
@@ -280,8 +208,7 @@ bool edge_less(const DenseEdge& a, const DenseEdge& b) {
   return a.latency < b.latency;
 }
 
-/// Decoded form of a key's node/edge sections, for certification and for
-/// recomputing the structural hash in tests.
+/// Decoded form of a key's node/edge sections, for certification.
 struct DecodedKey {
   bool has_tie = false;
   std::size_t num_nodes = 0;
@@ -382,7 +309,7 @@ constexpr std::uint64_t obs_id_digest() {
   for (const obs::MetricInfo& info : obs::hist::kInfo) mix(info.name);
   return h;
 }
-static_assert(obs_id_digest() == 0x62b8bbc2feffdef5ULL,
+static_assert(obs_id_digest() == 0x9fbc97a1bca496cbULL,
               "the obs id tables changed: bump kScheduleCacheFormatVersion");
 
 void put_u32_vec(std::string& b, const std::vector<std::uint32_t>& v) {
@@ -537,9 +464,8 @@ bool disk_store(const std::string& dir, const CacheKey& key,
   blob.append(value);
 
   const std::uint64_t nonce =
-      mix64(seq ^ static_cast<std::uint64_t>(
-                      std::chrono::steady_clock::now().time_since_epoch()
-                          .count()));
+      seq ^ static_cast<std::uint64_t>(
+                std::chrono::steady_clock::now().time_since_epoch().count());
   char tmp_name[64];
   std::snprintf(tmp_name, sizeof tmp_name, ".tmp-%016llx-%016llx",
                 static_cast<unsigned long long>(key.hash),
@@ -653,32 +579,8 @@ CacheKey build_trace_key(const DepGraph& g, const std::vector<NodeSet>& blocks,
   AIS_CHECK(w.pos() == key.bytes.data() + key.bytes.size(),
             "trace key length drifted from its layout");
 
-  const std::uint64_t seed =
-      hash_bytes(std::string_view(key.bytes.data(), prefix));
-  key.hash = wl_hash(seed, has_tie, nodes, n, edges, m, scratch);
+  key.hash = std::hash<std::string_view>{}(key.bytes);
   return key;
-}
-
-std::uint64_t structural_hash(const CacheKey& key) {
-  DecodedKey dk;
-  AIS_CHECK(decode_key(key.bytes, dk), "structural_hash: undecodable key");
-  // Recover the seed the builder used: the hash of the scalar prefix.
-  std::uint32_t num_classes = 0;
-  {
-    Reader r(key.bytes);
-    r.u8();
-    r.u32();
-    r.u32();
-    r.u32();
-    num_classes = r.u32();
-  }
-  const std::size_t prefix = prefix_length(num_classes);
-  const std::uint64_t seed =
-      hash_bytes(std::string_view(key.bytes.data(), prefix));
-  Arena& scratch = key_scratch();
-  scratch.reset();
-  return wl_hash(seed, dk.has_tie, dk.nodes.data(), dk.nodes.size(),
-                 dk.edges.data(), dk.edges.size(), scratch);
 }
 
 // --- the cache ------------------------------------------------------------
@@ -728,169 +630,123 @@ struct ScheduleCache::Impl {
   /// list node, string headers) on top of the actual key/value bytes.
   static constexpr std::size_t kEntryOverhead = 128;
 
-  /// Shard is immovable (Mutex), so a runtime-sized shard array lives
-  /// behind unique_ptr<Shard[]>.  num_shards is a power of two, written
-  /// only under external quiescence (set_shard_count's contract).
-  std::size_t num_shards = kNumShards;
-  std::unique_ptr<Shard[]> shards = std::make_unique<Shard[]>(kNumShards);
+  /// bench_server's warm throughput read the same within noise at 1, 4, 16
+  /// and 64 shards on 4 cores (docs/PERFORMANCE.md).  Each shard evicts
+  /// within its own share of the budget, so the count is part of the LRU
+  /// order.
+  static constexpr std::size_t kNumShards = 16;
+
+  explicit Impl(std::size_t capacity_bytes)
+      : shard_budget(capacity_bytes / kNumShards) {
+#if AIS_OBS_ENABLED
+    obs::MetricRegistry& reg = obs::MetricRegistry::global();
+    for (int o = 0; o < 3; ++o) {
+      requests[o] =
+          reg.counter("cache_requests_total", {"outcome", kOutcomeNames[o]});
+      lookup_us[o] =
+          reg.histogram("cache_lookup_us", {"outcome", kOutcomeNames[o]});
+    }
+    disk_read_us = reg.histogram("cache_disk_read_us");
+    disk_write_us = reg.histogram("cache_disk_write_us");
+#endif
+  }
+
+  ~Impl() { stop_flusher(); }
+
+  const std::size_t shard_budget;
+  std::array<Shard, kNumShards> shards;
   std::atomic<bool> enabled{true};
-  std::atomic<std::size_t> capacity{kDefaultCapacityBytes};
   mutable Mutex dir_mu;
   std::string dir AIS_GUARDED_BY(dir_mu);
   std::atomic<std::uint64_t> tmp_seq{0};
 
-  // --- disk-write coalescing (background flusher) -----------------------
+  // --- background disk writes -------------------------------------------
   //
-  // insert_bytes queues disk writes here instead of writing inline; the
+  // insert_bytes queues the write of every entry the memory tier gains; the
   // flusher thread (started lazily on the first queued write) drains the
-  // map in batches after a short gather delay, so the compile never waits
-  // on the file system, and a burst of inserts of the same key — daemon
-  // tenants or cfg-mode traces compiling one body at the same time —
-  // costs one file write instead of N (counter cache.disk_write_coalesced
-  // tracks the writes saved).  disk_store's atomic tmp+rename publish is
-  // unchanged.  flush_disk() / the destructor stop the thread and drain.
+  // queue, so a compile never waits on the file system.  disk_store
+  // publishes each entry with an atomic tmp+rename.  flush_disk() / the
+  // destructor stop the thread after it drains the queue.
   struct PendingWrite {
-    std::uint64_t hash = 0;
+    CacheKey key;
     std::string value;
   };
   Mutex flush_mu;
   CondVar flush_cv;
-  std::map<std::string, PendingWrite, std::less<>> pending
-      AIS_GUARDED_BY(flush_mu);  // keyed by key bytes (dedup = coalescing)
+  std::vector<PendingWrite> pending AIS_GUARDED_BY(flush_mu);
   bool flusher_running AIS_GUARDED_BY(flush_mu) = false;
   bool flusher_exit AIS_GUARDED_BY(flush_mu) = false;
   std::thread flusher_thread AIS_GUARDED_BY(flush_mu);
   std::mutex flusher_lifecycle_mu;  // serializes stop_flusher callers
 
-  /// Gather delay before a batch is written: long enough to coalesce
-  /// concurrent inserts of one trace, short enough to be invisible next to
-  /// a single solve.
-  static constexpr std::chrono::microseconds kFlushDelay{2000};
-
 #if AIS_OBS_ENABLED
-  // Per-shard labeled latency metrics, registered once at construction so
-  // the hot paths only touch the cached handles (registrations are
-  // permanent; a second ScheduleCache instance just gets the same handles).
+  // Labeled lookup metrics, registered once at construction so the hot
+  // paths only touch the cached handles (registrations are permanent; a
+  // second ScheduleCache instance just gets the same handles).
   // Outcome indexes: 0 = hit (memory), 1 = miss, 2 = disk_hit.
   static constexpr int kOutcomeHit = 0;
   static constexpr int kOutcomeMiss = 1;
   static constexpr int kOutcomeDiskHit = 2;
   static constexpr const char* kOutcomeNames[3] = {"hit", "miss", "disk_hit"};
-  struct ShardMetrics {
-    obs::Counter* requests[3] = {};
-    obs::Histogram* lookup_us[3] = {};
-  };
-  std::vector<ShardMetrics> shard_metrics;  // one per shard
+  obs::Counter* requests[3] = {};
+  obs::Histogram* lookup_us[3] = {};
   obs::Histogram* disk_read_us = nullptr;
   obs::Histogram* disk_write_us = nullptr;
 
-  Impl() {
-    register_shard_metrics();
-    obs::MetricRegistry& reg = obs::MetricRegistry::global();
-    disk_read_us = reg.histogram("cache_disk_read_us");
-    disk_write_us = reg.histogram("cache_disk_write_us");
-  }
-
-  /// (Re)builds the per-shard handle table for the current shard count.
-  /// Registrations are permanent, so growing and shrinking just re-resolves
-  /// the same series.
-  void register_shard_metrics() {
-    obs::MetricRegistry& reg = obs::MetricRegistry::global();
-    shard_metrics.assign(num_shards, ShardMetrics{});
-    for (std::size_t i = 0; i < num_shards; ++i) {
-      const std::string shard = std::to_string(i);
-      for (int o = 0; o < 3; ++o) {
-        shard_metrics[i].requests[o] =
-            reg.counter("cache_requests_total", {"shard", shard},
-                        {"outcome", kOutcomeNames[o]});
-        shard_metrics[i].lookup_us[o] =
-            reg.histogram("cache_lookup_us", {"shard", shard},
-                          {"outcome", kOutcomeNames[o]});
-      }
-    }
-  }
-
-  /// Books one lookup: outcome counter plus whole-lookup latency, into the
-  /// shard the key hashes to.  start_us < 0 means telemetry was disabled at
-  /// lookup entry — record nothing.
-  void note_lookup(std::uint64_t hash, int outcome, std::int64_t start_us) {
+  /// Books one lookup: outcome counter plus whole-lookup latency.
+  /// start_us < 0 means telemetry was disabled at lookup entry — record
+  /// nothing.
+  void note_lookup(int outcome, std::int64_t start_us) {
     if (start_us < 0) return;
-    const std::size_t sh = shard_index(hash);
-    shard_metrics[sh].requests[outcome]->add(1);
-    shard_metrics[sh].lookup_us[outcome]->record(
+    requests[outcome]->add(1);
+    lookup_us[outcome]->record(
         static_cast<std::uint64_t>(Stopwatch::now_us() - start_us));
   }
-#else
-  Impl() = default;
-  void register_shard_metrics() {}
 #endif  // AIS_OBS_ENABLED
 
-  ~Impl() { stop_flusher(); }
-
-  std::size_t shard_index(std::uint64_t hash) const {
-    // High bits select the shard (top 8 cover kMaxShards); the map's
-    // buckets use the full hash.
-    return (hash >> 56U) & (num_shards - 1);
+  Shard& shard_for(std::uint64_t hash) {
+    // High bits select the shard; the map's buckets use the full hash.
+    return shards[(hash >> 56U) & (kNumShards - 1)];
   }
-
-  Shard& shard_for(std::uint64_t hash) { return shards[shard_index(hash)]; }
 
   std::string dir_copy() const {
     MutexLock lock(dir_mu);
     return dir;
   }
 
-  /// Queues one disk write for the flusher, starting it on first use.  A
-  /// key already pending is coalesced: values are deterministic, so the
-  /// queued bytes already match and one write covers both inserts.
-  void queue_disk_write(const CacheKey& key, const std::string& value)
+  /// Queues one disk write for the flusher, starting it on first use.
+  void queue_disk_write(const CacheKey& key, std::string value)
       AIS_EXCLUDES(flush_mu) {
-    bool coalesced = false;
-    {
-      MutexLock lock(flush_mu);
-      const auto [it, inserted] = pending.try_emplace(key.bytes);
-      if (inserted) {
-        it->second.hash = key.hash;
-        it->second.value = value;
-      } else {
-        coalesced = true;
-      }
-      if (!flusher_running) {
-        flusher_running = true;
-        flusher_exit = false;
-        flusher_thread = std::thread([this] { flusher_loop(); });
-      }
-      flush_cv.notify_one();
+    PendingWrite write{CacheKey{key.bytes, key.hash, {}}, std::move(value)};
+    MutexLock lock(flush_mu);
+    pending.push_back(std::move(write));
+    if (!flusher_running) {
+      flusher_running = true;
+      flusher_exit = false;
+      flusher_thread = std::thread([this] { flusher_loop(); });
     }
-    if (coalesced) AIS_OBS_COUNT(obs::ctr::kCacheDiskWriteCoalesced);
+    flush_cv.notify_one();
   }
 
   void flusher_loop() AIS_EXCLUDES(flush_mu) {
-    std::map<std::string, PendingWrite, std::less<>> batch;
+    std::vector<PendingWrite> batch;
     for (;;) {
       batch.clear();
       {
         MutexLock lock(flush_mu);
         while (pending.empty() && !flusher_exit) flush_cv.wait(flush_mu);
-        if (pending.empty() && flusher_exit) return;
-        if (!flusher_exit) {
-          // Gather delay: let the burst that woke us finish coalescing.
-          flush_cv.wait_for(flush_mu, kFlushDelay);
-        }
+        if (pending.empty()) return;  // told to exit, nothing left
         batch.swap(pending);
       }
       const std::string dir = dir_copy();
       if (dir.empty()) continue;  // tier turned off with writes in flight
-      for (const auto& [bytes, write] : batch) {
-        CacheKey key;
-        key.bytes = bytes;
-        key.hash = write.hash;
+      for (const PendingWrite& write : batch) {
 #if AIS_OBS_ENABLED
         const std::int64_t start_us =
             obs::enabled() ? Stopwatch::now_us() : -1;
 #endif
         const bool stored =
-            disk_store(dir, key, write.value,
+            disk_store(dir, write.key, write.value,
                        tmp_seq.fetch_add(1, std::memory_order_relaxed));
 #if AIS_OBS_ENABLED
         if (start_us >= 0) {
@@ -923,9 +779,7 @@ struct ScheduleCache::Impl {
 };
 
 ScheduleCache::ScheduleCache(std::size_t capacity_bytes)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->capacity.store(capacity_bytes, std::memory_order_relaxed);
-}
+    : impl_(std::make_unique<Impl>(capacity_bytes)) {}
 
 ScheduleCache::~ScheduleCache() = default;
 
@@ -939,13 +793,8 @@ ScheduleCache& ScheduleCache::global() {
     }
     const char* dir = std::getenv("AIS_CACHE_DIR");
     if (dir != nullptr && dir[0] != '\0') c->set_disk_dir(dir);
-    const char* shards = std::getenv("AIS_CACHE_SHARDS");
-    if (shards != nullptr && shards[0] != '\0') {
-      c->set_shard_count(
-          static_cast<std::size_t>(std::strtoul(shards, nullptr, 10)));
-    }
-    // Disk writes are coalesced through a background flusher; drain it at
-    // exit so short-lived aisc runs still persist their tail-end entries.
+    // Disk writes go through a background flusher; drain it at exit so
+    // short-lived aisc runs still persist their tail-end entries.
     std::atexit([] { ScheduleCache::global().flush_disk(); });
     return c;
   }();
@@ -969,20 +818,13 @@ bool ScheduleCache::enabled() const {
   return impl_->enabled.load(std::memory_order_relaxed);
 }
 
-void ScheduleCache::set_capacity(std::size_t bytes) {
-  impl_->capacity.store(bytes, std::memory_order_relaxed);
-}
-
 void ScheduleCache::set_disk_dir(std::string dir) {
   MutexLock lock(impl_->dir_mu);
   impl_->dir = std::move(dir);
 }
 
-std::string ScheduleCache::disk_dir() const { return impl_->dir_copy(); }
-
 void ScheduleCache::clear() {
-  for (std::size_t i = 0; i < impl_->num_shards; ++i) {
-    Impl::Shard& s = impl_->shards[i];
+  for (Impl::Shard& s : impl_->shards) {
     MutexLock lock(s.mu);
     s.map.clear();
     s.lru.clear();
@@ -991,21 +833,6 @@ void ScheduleCache::clear() {
 }
 
 void ScheduleCache::flush_disk() { impl_->stop_flusher(); }
-
-void ScheduleCache::set_shard_count(std::size_t count) {
-  std::size_t n = 1;
-  while (n < count && n < kMaxShards) n <<= 1U;
-  if (n == impl_->num_shards) {
-    clear();
-    return;
-  }
-  // Caller guarantees quiescence: nothing holds a Shard& or is mid-lookup.
-  impl_->shards = std::make_unique<Impl::Shard[]>(n);
-  impl_->num_shards = n;
-  impl_->register_shard_metrics();
-}
-
-std::size_t ScheduleCache::shard_count() const { return impl_->num_shards; }
 
 std::optional<std::string> ScheduleCache::lookup_bytes(const CacheKey& key,
                                                        bool* from_disk) {
@@ -1037,35 +864,37 @@ std::optional<std::string> ScheduleCache::lookup_bytes(const CacheKey& key,
 
 void ScheduleCache::insert_bytes(const CacheKey& key, std::string value,
                                  bool write_disk) {
-  if (write_disk && !impl_->dir_copy().empty()) {
-    impl_->queue_disk_write(key, value);
-  }
-
+  write_disk = write_disk && !impl_->dir_copy().empty();
   const std::size_t entry_bytes =
       key.bytes.size() + value.size() + Impl::kEntryOverhead;
-  const std::size_t shard_budget =
-      impl_->capacity.load(std::memory_order_relaxed) / impl_->num_shards;
   std::uint64_t evictions = 0;
   Impl::Shard& s = impl_->shard_for(key.hash);
   {
     MutexLock lock(s.mu);
     const auto it = s.map.find(Impl::KeyView{key.bytes, key.hash});
     if (it != s.map.end()) {
-      // Deterministic values: an existing entry already holds these bytes.
+      // Deterministic values: an existing entry already holds these bytes,
+      // and its disk copy was queued when it was added (or it came from
+      // disk).
       s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
       return;
     }
-    const auto [pos, inserted] =
-        s.map.emplace(Impl::StoredKey{key.bytes, key.hash}, Impl::Entry{});
-    static_cast<void>(inserted);
-    pos->second.value = std::move(value);
+    const auto pos =
+        s.map.emplace(Impl::StoredKey{key.bytes, key.hash}, Impl::Entry{})
+            .first;
+    // The disk write below needs the bytes too.
+    if (write_disk) {
+      pos->second.value = value;
+    } else {
+      pos->second.value = std::move(value);
+    }
     s.lru.push_front(&pos->first);
     pos->second.lru_it = s.lru.begin();
     s.bytes += entry_bytes;
 
     // Evict from the cold end, but never the entry just inserted: one
     // oversized instance must not make the cache permanently empty.
-    while (s.bytes > shard_budget && s.lru.size() > 1) {
+    while (s.bytes > impl_->shard_budget && s.lru.size() > 1) {
       const Impl::StoredKey* victim = s.lru.back();
       const auto vit = s.map.find(Impl::KeyView{victim->bytes, victim->hash});
       AIS_CHECK(vit != s.map.end(), "cache LRU points at a missing entry");
@@ -1076,6 +905,7 @@ void ScheduleCache::insert_bytes(const CacheKey& key, std::string value,
       ++evictions;
     }
   }
+  if (write_disk) impl_->queue_disk_write(key, std::move(value));
   AIS_OBS_COUNT(obs::ctr::kCacheBytes, entry_bytes);
   if (evictions > 0) AIS_OBS_COUNT(obs::ctr::kCacheEvictions, evictions);
 }
@@ -1123,7 +953,7 @@ std::optional<TraceCacheValue> ScheduleCache::lookup_trace(
 #endif
   }
 #if AIS_OBS_ENABLED
-  impl_->note_lookup(key.hash, outcome, start_us);
+  impl_->note_lookup(outcome, start_us);
 #endif
   if (!ok) return std::nullopt;
   return value;

@@ -21,10 +21,9 @@
 // dense→caller id map is byte-identical to a fresh solve.  (Serving hits
 // across *non*-monotone isomorphic relabelings would not be: equal-rank
 // nodes tie-break by id, and the relabeling can swap them.)  The key's
-// *hash* is coarser: a Weisfeiler–Leman-style structural hash, invariant
-// under arbitrary isomorphic relabeling and independent of topological
-// order, so isomorphic instances land in the same bucket and full-key
-// equality — never the hash — decides reuse.  See docs/CACHING.md.
+// *hash* is a plain hash of its bytes; it picks the shard, the bucket and
+// the disk file name, and full-key equality — never the hash — decides
+// reuse.  See docs/CACHING.md.
 //
 // Counters are part of the contract: a hit replays the counter deltas the
 // original solve recorded (obs::CounterRecorder), so `aisc --profile` and
@@ -43,7 +42,7 @@
 // which *links against* this library; the driver's --verify path re-checks
 // cached schedules with the full oracle, uncached.)
 //
-// Concurrency: the in-memory tier is a sharded, mutex-striped LRU, safe
+// Concurrency: the in-memory tier is a 16-shard, mutex-striped LRU, safe
 // under ThreadPool parallel trace compilation; the disk tier uses atomic
 // temp-file + rename writes and validates header, versions, key bytes and
 // the certificate on load, so a torn or stale file degrades to a miss.
@@ -78,13 +77,17 @@ inline constexpr std::uint32_t kScheduleCacheAlgoVersion = 3;
 /// v5: the step ('S') entry kind is gone; 'T' is the only key kind.
 /// v6: counter deltas and histogram samples are keyed by their obs ids,
 /// not by name.
-inline constexpr std::uint32_t kScheduleCacheFormatVersion = 6;
+/// v7: the key hash (disk file name and header field) hashes the key bytes,
+/// and the obs id tables lost four ids.
+inline constexpr std::uint32_t kScheduleCacheFormatVersion = 7;
 
 /// A canonical scheduling-instance key plus the remap table for its hits.
 struct CacheKey {
   /// Dense serialization; key equality is bytes equality.
   std::string bytes;
-  /// Structural (relabeling-invariant) hash; bucket selection only.
+  /// std::hash<std::string_view> of `bytes`: the same in every process of
+  /// one build, so it can name disk files.  Shard, bucket and file name
+  /// only; equality never reads it.
   std::uint64_t hash = 0;
   /// Dense id -> caller NodeId (ascending).  Not part of equality: two
   /// equal keys may map onto different caller ids — that is the reuse.
@@ -123,10 +126,6 @@ struct TraceCacheValue {
 CacheKey build_trace_key(const DepGraph& g, const std::vector<NodeSet>& blocks,
                          const CacheInstanceParams& params);
 
-/// Structural hash of `key` recomputed from scratch — exposed for tests
-/// (invariance under isomorphic relabeling); equals key.hash.
-std::uint64_t structural_hash(const CacheKey& key);
-
 class ScheduleCache {
  public:
   explicit ScheduleCache(std::size_t capacity_bytes = kDefaultCapacityBytes);
@@ -155,29 +154,17 @@ class ScheduleCache {
   void set_enabled(bool on);
   bool enabled() const;
 
-  /// Total in-memory budget, split evenly across shards; inserting past it
-  /// evicts least-recently-used entries (counter cache.evictions).
-  void set_capacity(std::size_t bytes);
-
   /// Directory of the persistent tier; empty disables it.  Created on first
   /// write.  Entries are validated (versions, key bytes, certificate) on
   /// load, so a foreign or corrupt file is just a miss.
   void set_disk_dir(std::string dir);
-  std::string disk_dir() const;
 
-  /// Drains every pending coalesced disk write and stops the background
-  /// flusher (it restarts on the next insert).  Called on daemon shutdown;
-  /// registered via atexit for the global cache so entries written late in
-  /// a process's life still land on disk.
+  /// Writes every queued disk entry and stops the background flusher (it
+  /// restarts on the next queued write).  Called on daemon shutdown and
+  /// before a tool reports its counters; registered via atexit for the
+  /// global cache so entries written late in a process's life still land
+  /// on disk.
   void flush_disk();
-
-  /// Number of LRU shards (rounded up to a power of two, clamped to
-  /// [1, 256]).  Resizing rebuilds the shard array and DROPS all in-memory
-  /// entries; the caller must guarantee quiescence (no concurrent lookups
-  /// or inserts).  A contention-tuning knob for bench_server's shard sweep,
-  /// also settable at process start via AIS_CACHE_SHARDS.
-  void set_shard_count(std::size_t count);
-  std::size_t shard_count() const;
 
   /// Drops every in-memory entry (the disk tier is untouched).  Tests use
   /// this to make hit/miss sequences deterministic.
@@ -186,16 +173,18 @@ class ScheduleCache {
   std::optional<TraceCacheValue> lookup_trace(const CacheKey& key);
   void insert_trace(const CacheKey& key, const TraceCacheValue& value);
 
+  /// Total in-memory budget, split evenly across the shards; inserting past
+  /// a shard's share evicts its least-recently-used entries (counter
+  /// cache.evictions).
   static constexpr std::size_t kDefaultCapacityBytes = 64u << 20;
-  /// Default shard count; see set_shard_count.
-  static constexpr std::size_t kNumShards = 16;
-  static constexpr std::size_t kMaxShards = 256;
 
  private:
   struct Impl;
   /// Raw serialized-value lookup/insert/erase.  lookup_bytes consults
   /// memory, then disk; *from_disk tells the caller whether the bytes still
-  /// need certification and in-memory promotion.
+  /// need certification and in-memory promotion.  insert_bytes queues a
+  /// disk write (when `write_disk` and a directory is set) only if memory
+  /// did not already hold the key.
   std::optional<std::string> lookup_bytes(const CacheKey& key,
                                           bool* from_disk);
   void insert_bytes(const CacheKey& key, std::string value, bool write_disk);

@@ -58,7 +58,6 @@ Time ScheduledTrace::simulated_cycles(const MachineModel& machine) const {
 ScheduledTrace schedule(const Trace& trace, const MachineModel& machine,
                         int window, const DepBuildOptions& deps) {
   AIS_OBS_SPAN("compile.trace");
-  AIS_OBS_TIMER(obs::hist::kCompileTraceUs);
   const int w = resolve_window(machine, window);
   DepGraph g = [&] {
     AIS_OBS_SPAN("deps");
@@ -106,7 +105,6 @@ verify::Report verify_schedule(const Loop& original,
 ScheduledLoop schedule(const Loop& loop, const MachineModel& machine,
                        int window, const DepBuildOptions& deps) {
   AIS_OBS_SPAN("compile.loop");
-  AIS_OBS_TIMER(obs::hist::kCompileLoopUs);
   const int w = resolve_window(machine, window);
   DepGraph g = [&] {
     AIS_OBS_SPAN("deps");

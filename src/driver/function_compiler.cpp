@@ -57,7 +57,6 @@ TraceOutcome compile_trace(const Cfg& cfg, const SelectedTrace& selected,
 CompiledProgram compile_program(const Cfg& cfg, const MachineModel& machine,
                                 int window, bool verify, int jobs) {
   AIS_OBS_SPAN("compile.program");
-  AIS_OBS_TIMER(obs::hist::kCompileProgramUs);
   const int w = window == 0 ? machine.default_window() : window;
 
   CompiledProgram out;

@@ -89,9 +89,6 @@ namespace ctr {
 enum Id : std::uint8_t {
   kCacheBytes,
   kCacheDiskHits,
-  /// Disk writes absorbed by the coalescing flusher: the same key was
-  /// queued again before its first write hit the disk.
-  kCacheDiskWriteCoalesced,
   kCacheDiskWrites,
   kCacheEvictions,
   kCacheHits,
@@ -145,7 +142,6 @@ enum Id : std::uint8_t {
 inline constexpr std::array<MetricInfo, kCount> kInfo = {{
     {"cache.bytes", false},
     {"cache.disk_hits", false},
-    {"cache.disk_write_coalesced", false},
     {"cache.disk_writes", false},
     {"cache.evictions", false},
     {"cache.hits", false},
@@ -190,16 +186,13 @@ inline constexpr std::string_view kVerifyDiagPrefix = "verify.diag.";
 /// Built-in histograms, same scheme.  Wall-clock distributions carry the
 /// "time." prefix and do not replay; the deterministic shape distribution
 /// chop.prefix_len replays through the cache like a counter.  The schedule
-/// cache's labeled latency histograms ("cache_lookup_us{shard=,outcome=}",
+/// cache's labeled latency histograms ("cache_lookup_us{outcome=}",
 /// "cache_disk_read_us", "cache_disk_write_us") are registered by
 /// core/schedule_cache directly.
 namespace hist {
 enum Id : std::uint8_t {
   /// Emitted-prefix length per chop call.
   kChopPrefixLen,
-  kCompileLoopUs,
-  kCompileProgramUs,
-  kCompileTraceUs,
   /// ThreadPool task queue-wait and run time (support/thread_pool reports
   /// them through the TelemetrySink hook under the names of
   /// support/telemetry_hook.hpp — support cannot link obs).
@@ -212,9 +205,6 @@ enum Id : std::uint8_t {
 
 inline constexpr std::array<MetricInfo, kCount> kInfo = {{
     {"chop.prefix_len", true},
-    {"time.compile_loop_us", false},
-    {"time.compile_program_us", false},
-    {"time.compile_trace_us", false},
     {"time.pool_queue_wait_us", false},
     {"time.pool_run_us", false},
     {"time.sim_batch_us", false},

@@ -19,7 +19,6 @@
 // inside a lambda it cannot.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -63,13 +62,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void wait(Mutex& mu) AIS_REQUIRES(mu) { cv_.wait(mu); }
-  /// wait() with a timeout; returns false when the wait timed out.  Used by
-  /// the disk-write flusher's deadline loop, which re-checks its predicate
-  /// under `mu` either way.
-  bool wait_for(Mutex& mu, std::chrono::microseconds timeout)
-      AIS_REQUIRES(mu) {
-    return cv_.wait_for(mu, timeout) == std::cv_status::no_timeout;
-  }
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 

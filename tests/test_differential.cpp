@@ -3000,9 +3000,9 @@ TEST(Differential, AsmParserMatchesVerbatimReference) {
 // ---------------------------------------------------------------------------
 
 /// build_trace_key verbatim from before the flat pass: every field appended
-/// through put_raw, the edges sorted unconditionally, the structural hash
-/// seeded with the appended prefix.  The helpers are the originals with
-/// the step-key branches (dead for a trace key) dropped.
+/// through put_raw, the edges sorted unconditionally.  The helpers are the
+/// originals with the step-key branches (dead for a trace key) and the
+/// structural hash (since replaced by a hash of the bytes) dropped.
 namespace ref_cache_key {
 
 template <typename T>
@@ -3016,24 +3016,6 @@ void put_u8(std::string& b, std::uint8_t v) { put_raw(b, v); }
 void put_u32(std::string& b, std::uint32_t v) { put_raw(b, v); }
 void put_i64(std::string& b, std::int64_t v) { put_raw(b, v); }
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_bytes(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kInSalt = 0x8e2a4f7d9c1b3e55ULL;
-constexpr std::uint64_t kOutSalt = 0x41c64e6da3b59f21ULL;
 constexpr char kTraceKind = 'T';
 constexpr std::uint32_t kNoBlock = 0xffffffffU;
 
@@ -3055,50 +3037,6 @@ struct DenseEdge {
   std::uint32_t to = 0;
   std::uint32_t latency = 0;
 };
-
-std::uint64_t wl_hash(std::uint64_t seed, bool has_tie, const DenseNode* nodes,
-                      std::size_t n, const DenseEdge* edges, std::size_t m,
-                      Arena& scratch) {
-  std::uint64_t* cur = scratch.alloc_array<std::uint64_t>(n);
-  std::uint64_t* nxt = scratch.alloc_array<std::uint64_t>(n);
-  std::uint64_t* in_acc = scratch.alloc_array<std::uint64_t>(n);
-  std::uint64_t* out_acc = scratch.alloc_array<std::uint64_t>(n);
-
-  for (std::size_t v = 0; v < n; ++v) {
-    const DenseNode& node = nodes[v];
-    std::uint64_t h = mix64(seed ^ ((static_cast<std::uint64_t>(node.exec)
-                                     << 32U) |
-                                    node.fu));
-    h = mix64(h ^ node.block_pos);
-    if (has_tie) h = mix64(h ^ static_cast<std::uint64_t>(node.tie));
-    cur[v] = h;
-  }
-
-  for (int round = 0; round < 2; ++round) {
-    std::fill_n(in_acc, n, std::uint64_t{0});
-    std::fill_n(out_acc, n, std::uint64_t{0});
-    for (std::size_t e = 0; e < m; ++e) {
-      const DenseEdge& edge = edges[e];
-      const std::uint64_t lat = mix64(edge.latency);
-      out_acc[edge.from] += mix64(cur[edge.to] ^ lat ^ kOutSalt);
-      in_acc[edge.to] += mix64(cur[edge.from] ^ lat ^ kInSalt);
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      nxt[v] = mix64(cur[v] + 3 * mix64(in_acc[v]) + 5 * mix64(out_acc[v]));
-    }
-    std::swap(cur, nxt);
-  }
-
-  std::uint64_t sum = 0;
-  std::uint64_t xored = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::uint64_t h = mix64(cur[v]);
-    sum += h;
-    xored ^= h;
-  }
-  return mix64(seed ^ sum) ^
-         mix64(xored + (static_cast<std::uint64_t>(n) << 32U) + m);
-}
 
 std::uint8_t flags_of(const CacheInstanceParams& params, bool has_tie) {
   std::uint8_t flags = 0;
@@ -3151,11 +3089,8 @@ void sort_edges(DenseEdge* edges, std::size_t m) {
 }
 
 void finish_key(CacheKey& key, bool has_tie, const DenseNode* nodes,
-                std::size_t n, DenseEdge* edges, std::size_t m,
-                Arena& scratch) {
+                std::size_t n, DenseEdge* edges, std::size_t m) {
   std::string& b = key.bytes;
-  const std::uint64_t seed = hash_bytes(std::string_view(b.data(), b.size()));
-
   sort_edges(edges, m);
   put_u32(b, static_cast<std::uint32_t>(n));
   for (std::size_t v = 0; v < n; ++v) {
@@ -3172,8 +3107,6 @@ void finish_key(CacheKey& key, bool has_tie, const DenseNode* nodes,
     put_u32(b, edges[e].to);
     put_u32(b, edges[e].latency);
   }
-
-  key.hash = wl_hash(seed, has_tie, nodes, n, edges, m, scratch);
 }
 
 CacheKey build_trace_key(const DepGraph& g, const std::vector<NodeSet>& blocks,
@@ -3224,7 +3157,7 @@ CacheKey build_trace_key(const DepGraph& g, const std::vector<NodeSet>& blocks,
   key.bytes.reserve(256 + n * 12 + m * 12);
   serialize_prefix(key.bytes, kTraceKind, params, has_tie);
   put_u32(key.bytes, static_cast<std::uint32_t>(blocks.size()));
-  finish_key(key, has_tie, nodes, n, edges, m, scratch);
+  finish_key(key, has_tie, nodes, n, edges, m);
   return key;
 }
 
@@ -3245,7 +3178,8 @@ bool edges_from_to_sorted(const DepGraph& g) {
 }
 
 /// The one-pass trace key must equal the append-and-sort builder's — key
-/// bytes, structural hash and dense-to-caller ids — on random IR traces
+/// bytes and dense-to-caller ids, with the hash of those bytes — on random
+/// IR traces
 /// (4 x 12 and 4 x 24) and their loop graphs, random_trace graphs, the
 /// schedule_loop_trace graph (loop_trace_graph: the body plus its
 /// wrap-around clone, whose edges are out of (from, to) order) of each,
@@ -3295,9 +3229,9 @@ TEST(Differential, CacheKeyMatchesVerbatimReference) {
                                   std::to_string(blocks.size()) +
                                   " tie=" + std::to_string(tie->size());
         EXPECT_EQ(got.bytes, want.bytes) << where;
-        EXPECT_EQ(got.hash, want.hash) << where;
+        EXPECT_EQ(got.hash, std::hash<std::string_view>{}(want.bytes))
+            << where;
         EXPECT_EQ(got.ids, want.ids) << where;
-        EXPECT_EQ(structural_hash(got), got.hash) << where;
         ++keys;
         with_tie += tie->empty() ? 0 : 1;
       }

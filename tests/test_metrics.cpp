@@ -310,7 +310,7 @@ TEST(MetricsObs, RecorderCapturesAndReplaysValueSamplesInOrder) {
 TEST(MetricsObs, RecorderSkipsWallClockAndCacheDistributions) {
   fresh(/*enabled=*/false);
   obs::CounterRecorder rec;
-  obs::record_value(obs::hist::kCompileTraceUs, 123);
+  obs::record_value(obs::hist::kSimBatchUs, 123);
   obs::count(obs::ctr::kCacheHits, 4);
   EXPECT_TRUE(rec.value_samples().empty());
   EXPECT_TRUE(rec.deltas().empty());

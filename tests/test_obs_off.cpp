@@ -24,7 +24,7 @@ TEST(ObsOff, MacrosAreNoOpsEvenWhenRuntimeEnabled) {
   {
     AIS_OBS_SPAN("off.span");
     AIS_OBS_SPAN_DETAIL("off.detail_span");
-    AIS_OBS_TIMER(obs::hist::kCompileTraceUs);
+    AIS_OBS_TIMER(obs::hist::kSimBatchUs);
   }
 
   // The library (compiled with hooks) sees nothing from this TU.
@@ -57,7 +57,7 @@ TEST(ObsOff, MacrosExpandToExpressionsSafeInSingleStatementContexts) {
   if (obs::kHooksCompiledIn)
     AIS_OBS_VALUE(obs::hist::kChopPrefixLen, 1);
   else
-    AIS_OBS_TIMER(obs::hist::kCompileTraceUs);
+    AIS_OBS_TIMER(obs::hist::kSimBatchUs);
   SUCCEED();
 }
 

@@ -1,7 +1,8 @@
 // Unit tests for the content-addressed schedule cache: canonical key
-// semantics (monotone-relabeling equality, relabeling-invariant structural
-// hash), the trace entry's round trip, the dependence certificate, LRU
-// eviction, the disk tier's validation, and cross-trace reuse end to end.
+// semantics (monotone-relabeling equality; non-monotone relabelings are
+// distinct entries, on disk too), the trace entry's round trip, the
+// dependence certificate, LRU eviction, the disk tier's validation and
+// write count, and cross-trace reuse end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -90,27 +91,6 @@ TEST(CacheKey, EqualUnderMonotoneRelabeling) {
   EXPECT_EQ(k1.hash, k2.hash);
   EXPECT_EQ(k1.ids, (std::vector<NodeId>{0, 1, 2, 3}));
   EXPECT_EQ(k2.ids, (std::vector<NodeId>{1, 2, 3, 4}));
-}
-
-TEST(CacheKey, StructuralHashInvariantUnderAnyRelabeling) {
-  const MachineModel machine = scalar01();
-  const DepGraph g = diamond();
-  const CacheKey base =
-      build_trace_key(g, one_block(g), params_for(machine));
-  EXPECT_EQ(structural_hash(base), base.hash);
-
-  // Non-monotone relabelings: the serialized bytes differ (the scheduler's
-  // id tie-break makes those instances non-interchangeable) but the
-  // Weisfeiler-Leman hash must not, so they share a cache bucket.
-  for (const auto& perm : std::vector<std::vector<int>>{
-           {3, 1, 2, 0}, {1, 0, 3, 2}, {2, 3, 0, 1}}) {
-    const DepGraph h = diamond(perm);
-    const CacheKey k =
-        build_trace_key(h, one_block(h), params_for(machine));
-    EXPECT_EQ(k.hash, base.hash) << "perm " << perm[0] << perm[1];
-    EXPECT_NE(k.bytes, base.bytes);
-    EXPECT_EQ(structural_hash(k), k.hash);
-  }
 }
 
 TEST(CacheKey, ContextChangesTheKey) {
@@ -241,6 +221,106 @@ TEST(ScheduleCache, DiskTierRoundTripsAcrossInstances) {
   std::filesystem::remove_all(dir);
 }
 
+/// Turns telemetry on for one test, so the cache's counters count, and
+/// restores the previous state however the test exits.
+class ScopedTelemetry {
+ public:
+  ScopedTelemetry() { obs::set_enabled(true); }
+  ~ScopedTelemetry() { obs::set_enabled(was_enabled_); }
+  ScopedTelemetry(const ScopedTelemetry&) = delete;
+  ScopedTelemetry& operator=(const ScopedTelemetry&) = delete;
+
+ private:
+  bool was_enabled_ = obs::enabled();
+};
+
+/// Number of `.aisc` entry files in `dir`.
+int disk_entries(const std::filesystem::path& dir) {
+  int n = 0;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    n += f.path().extension() == ".aisc" ? 1 : 0;
+  }
+  return n;
+}
+
+/// Non-monotone relabelings of one instance serialize to different bytes —
+/// the scheduler's id tie-break makes them different instances — so each
+/// keeps its own entry, on disk as in memory: a fresh reader gets every one
+/// back.
+TEST(ScheduleCache, NonMonotoneRelabelingsKeepTheirOwnDiskEntries) {
+  const auto dir = fresh_temp_dir("relabelings");
+  const MachineModel machine = scalar01();
+  std::vector<CacheKey> keys;
+  std::vector<TraceCacheValue> values;
+  for (const auto& perm : std::vector<std::vector<int>>{
+           {0, 1, 2, 3}, {3, 1, 2, 0}, {1, 0, 3, 2}, {2, 3, 0, 1}}) {
+    const DepGraph g = diamond(perm);
+    keys.push_back(build_trace_key(g, one_block(g), params_for(machine)));
+    // a, b, c, d under this relabeling: a dependence order of its diamond.
+    TraceCacheValue v;
+    for (const int id : perm) v.order.push_back(static_cast<std::uint32_t>(id));
+    values.push_back(v);
+  }
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_NE(keys[i].bytes, keys[0].bytes) << "relabeling " << i;
+  }
+
+  const ScopedTelemetry telemetry;
+  {
+    ScheduleCache writer;
+    writer.set_disk_dir(dir.string());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      writer.insert_trace(keys[i], values[i]);
+    }
+  }
+  EXPECT_EQ(disk_entries(dir), 4);
+
+  ScheduleCache reader;
+  reader.set_disk_dir(dir.string());
+  const std::uint64_t disk_hits_before =
+      obs::counter_value(obs::ctr::kCacheDiskHits);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto hit = reader.lookup_trace(keys[i]);
+    ASSERT_TRUE(hit.has_value()) << "relabeling " << i;
+    EXPECT_EQ(hit->order, values[i].order) << "relabeling " << i;
+  }
+  if (obs::kHooksCompiledIn) {
+    EXPECT_EQ(obs::counter_value(obs::ctr::kCacheDiskHits) - disk_hits_before,
+              4u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// Only the insert that adds an entry to the memory tier writes it to disk:
+/// inserting the same key again, before or after the write lands, writes
+/// nothing.
+TEST(ScheduleCache, RepeatedInsertWritesTheDiskOnce) {
+  const auto dir = fresh_temp_dir("write_once");
+  const MachineModel machine = scalar01();
+  const DepGraph g = diamond();
+  const CacheKey key =
+      build_trace_key(g, one_block(g), params_for(machine));
+  TraceCacheValue v;
+  v.order = {0, 1, 2, 3};
+
+  const ScopedTelemetry telemetry;
+  const std::uint64_t writes_before =
+      obs::counter_value(obs::ctr::kCacheDiskWrites);
+  ScheduleCache cache;
+  cache.set_disk_dir(dir.string());
+  cache.insert_trace(key, v);
+  cache.insert_trace(key, v);
+  cache.flush_disk();
+  cache.insert_trace(key, v);
+  cache.flush_disk();
+  EXPECT_EQ(disk_entries(dir), 1);
+  if (obs::kHooksCompiledIn) {
+    EXPECT_EQ(obs::counter_value(obs::ctr::kCacheDiskWrites) - writes_before,
+              1u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ScheduleCache, CorruptDiskEntriesDegradeToMisses) {
   const auto dir = fresh_temp_dir("corrupt");
   const MachineModel machine = scalar01();
@@ -327,6 +407,15 @@ TEST(ScheduleCache, CorruptDiskEntriesDegradeToMisses) {
   std::memcpy(v5_entry.data() + 4 + 4 + 4 + 8 + 8 + 1, &v5, sizeof v5);
   rewrite(v5_entry);
   miss("format v5 entry");
+
+  // A format v6 entry, named by the structural hash of its key, is a miss
+  // under v7's byte hash.
+  std::string v6_entry = blob;
+  const std::uint32_t v6 = 6;
+  std::memcpy(v6_entry.data() + 4, &v6, sizeof v6);
+  std::memcpy(v6_entry.data() + 4 + 4 + 4 + 8 + 8 + 1, &v6, sizeof v6);
+  rewrite(v6_entry);
+  miss("format v6 entry");
 
   // And the pristine bytes still hit, so the misses above were the
   // corruption's doing.

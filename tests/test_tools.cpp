@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -245,67 +246,83 @@ TEST(Aislint, RejectsStructurallyBrokenProgram) {
   }
 }
 
+/// IR text the compile pipeline rejects: parse_program_or_error refuses it
+/// (`parse_error`), or it parses but block_structure_error refuses it.
+/// `message` is the reason, as compile_ir reports it after "bad IR: ".
+struct BadIr {
+  std::string name;
+  std::string text;
+  std::string message;
+  bool parse_error = true;
+};
+
+const std::vector<BadIr>& bad_ir_cases() {
+  static const std::vector<BadIr> cases = {
+      {"midblock_branch",
+       "block a:\n  ADD r1, r2, r3\n  B   a\n  ADD r4, r1, r1\n", "block a",
+       false},
+      {"unknown_opcode", "block a:\n  QUUX r1, r2\n",
+       "line 2: unknown opcode: QUUX\n"},
+      {"empty_file", "", "empty program\n"},
+      {"lone_empty_block", "block A:\n",
+       "block A: a block must hold at least one instruction\n", false},
+      {"empty_last_block", "block A:\n  ADD r1, r2, r3\nblock B:\n",
+       "block B: a block must hold at least one instruction\n", false},
+      {"empty_first_block", "block A:\nblock B:\n  ADD r1, r2, r3\n",
+       "block A: a block must hold at least one instruction\n", false},
+      // Once compiled with immediate 0, offset 4 or dropped operands, or
+      // answered with a bare libstdc++ "stoi"/"stoll", or aborted on.
+      {"label_immediate", "block a:\n  LI r1, foo\n",
+       "line 2: operand 1 must be an immediate\n"},
+      {"label_compare_immediate", "block a:\n  CMP c1, r2, bar\n",
+       "line 2: operand 2 must be an immediate\n"},
+      {"malformed_alu_immediate", "block a:\n  ADD r1, r2, 5x\n",
+       "line 2: operand 2 must be a register or an immediate\n"},
+      {"offset_junk", "block a:\n  LD r1, x[r2+4junk]\n",
+       "line 2: bad memory offset: x[r2+4junk]\n"},
+      {"extra_operand", "block a:\n  ADD r1, r2, r3, r4\n",
+       "line 2: too many operands for ADD: got 4, at most 3\n"},
+      {"nop_operand", "block a:\n  NOP r1\n",
+       "line 2: too many operands for NOP: got 1, at most 0\n"},
+      {"huge_register", "block a:\n  ADD r99999999999, r1, r2\n",
+       "line 2: operand 0 must be a register\n"},
+      {"huge_offset", "block a:\n  LD r1, x[r2+99999999999]\n",
+       "line 2: memory offset out of range: x[r2+99999999999]\n"},
+      {"huge_immediate", "block a:\n  LI r1, 99999999999999999999\n",
+       "line 2: immediate out of range: 99999999999999999999\n"},
+      {"compare_into_gpr", "block a:\n  CMP r1, r2\n",
+       "line 2: operand 0 must be a condition register\n"},
+      {"branch_on_gpr", "block a:\n  BT r1, a\n",
+       "line 2: operand 0 must be a condition register\n"},
+  };
+  return cases;
+}
+
 /// Every input the compile pipeline rejects, and every argument outside
 /// aisc's flag list, exits 1 with a message, in every mode — never a
 /// signal, never partial output on stdout.
 TEST(Aisc, BadInputsExitNonZeroWithoutAborting) {
   struct Case {
-    const char* name;
+    std::string name;
     std::string text;
     const char* flags;
-    const char* message;
+    std::string message;
     const char* in_flag = " --in ";
   };
   const std::string valid = "block a:\n  LI r1, 1\n  ADD r2, r1, r1\n";
-  const std::vector<Case> cases = {
-      {"midblock_branch",
-       "block a:\n  ADD r1, r2, r3\n  B   a\n  ADD r4, r1, r1\n", "",
-       "block a"},
-      {"unknown_opcode", "block a:\n  QUUX r1, r2\n", "",
-       "aisc: bad IR: line 2: unknown opcode: QUUX\n"},
-      {"empty_file", "", "", "aisc: bad IR: empty program\n"},
+  std::vector<Case> cases = {
       {"negative_window", valid, " --window -3",
        "aisc: window must be nonnegative, got -3\n"},
       {"positional_input", valid, "", "aisc: unexpected argument '", " "},
       {"unknown_flag", valid, " --windw 3", "aisc: unknown flag --windw\n"},
-      {"lone_empty_block", "block A:\n", "",
-       "aisc: bad IR: block A: a block must hold at least one instruction\n"},
-      {"empty_last_block", "block A:\n  ADD r1, r2, r3\nblock B:\n", "",
-       "aisc: bad IR: block B: a block must hold at least one instruction\n"},
-      {"empty_first_block", "block A:\nblock B:\n  ADD r1, r2, r3\n", "",
-       "aisc: bad IR: block A: a block must hold at least one instruction\n"},
-      // Once compiled with immediate 0, offset 4 or dropped operands, or
-      // answered with a bare libstdc++ "stoi"/"stoll", or aborted on.
-      {"label_immediate", "block a:\n  LI r1, foo\n", "",
-       "aisc: bad IR: line 2: operand 1 must be an immediate\n"},
-      {"label_compare_immediate", "block a:\n  CMP c1, r2, bar\n", "",
-       "aisc: bad IR: line 2: operand 2 must be an immediate\n"},
-      {"malformed_alu_immediate", "block a:\n  ADD r1, r2, 5x\n", "",
-       "aisc: bad IR: line 2: operand 2 must be a register or an "
-       "immediate\n"},
-      {"offset_junk", "block a:\n  LD r1, x[r2+4junk]\n", "",
-       "aisc: bad IR: line 2: bad memory offset: x[r2+4junk]\n"},
-      {"extra_operand", "block a:\n  ADD r1, r2, r3, r4\n", "",
-       "aisc: bad IR: line 2: too many operands for ADD: got 4, at most 3\n"},
-      {"nop_operand", "block a:\n  NOP r1\n", "",
-       "aisc: bad IR: line 2: too many operands for NOP: got 1, at most 0\n"},
-      {"huge_register", "block a:\n  ADD r99999999999, r1, r2\n", "",
-       "aisc: bad IR: line 2: operand 0 must be a register\n"},
-      {"huge_offset", "block a:\n  LD r1, x[r2+99999999999]\n", "",
-       "aisc: bad IR: line 2: memory offset out of range: "
-       "x[r2+99999999999]\n"},
-      {"huge_immediate", "block a:\n  LI r1, 99999999999999999999\n", "",
-       "aisc: bad IR: line 2: immediate out of range: "
-       "99999999999999999999\n"},
-      {"compare_into_gpr", "block a:\n  CMP r1, r2\n", "",
-       "aisc: bad IR: line 2: operand 0 must be a condition register\n"},
-      {"branch_on_gpr", "block a:\n  BT r1, a\n", "",
-       "aisc: bad IR: line 2: operand 0 must be a condition register\n"},
   };
+  for (const BadIr& ir : bad_ir_cases()) {
+    cases.push_back({ir.name, ir.text, "", "aisc: bad IR: " + ir.message});
+  }
   for (const Case& c : cases) {
-    const std::string in = write_temp(std::string(c.name) + ".s", c.text);
+    const std::string in = write_temp(c.name + ".s", c.text);
     for (const char* mode : {"trace", "loop", "cfg"}) {
-      const std::string tag = std::string(c.name) + " --mode " + mode;
+      const std::string tag = c.name + " --mode " + mode;
       std::string out, err;
       const int status = run_tool_with_stderr(std::string(AISC_BINARY) +
                                                   c.in_flag + in + " --mode " +
@@ -318,6 +335,74 @@ TEST(Aisc, BadInputsExitNonZeroWithoutAborting) {
       EXPECT_NE(err.find(c.message), std::string::npos) << tag << ": " << err;
     }
   }
+}
+
+/// aisprof rejects what compile_ir rejects — malformed text, broken block
+/// structure, a negative window — with a message and exit 2, the code of
+/// its other input errors, in every mode; never a signal.
+TEST(Aisprof, BadInputsExitTwoWithoutAborting) {
+  struct Case {
+    std::string name;
+    std::string path;
+    const char* flags;
+    std::string message;
+  };
+  std::vector<Case> cases;
+  for (const BadIr& ir : bad_ir_cases()) {
+    const std::string in = write_temp("prof_" + ir.name + ".s", ir.text);
+    cases.push_back({ir.name, in, "", "aisprof: " + in + ": " + ir.message});
+  }
+  cases.push_back({"negative_window",
+                   write_temp("prof_valid.s",
+                              "block a:\n  LI r1, 1\n  ADD r2, r1, r1\n"),
+                   " --window -3",
+                   "aisprof: window must be nonnegative, got -3\n"});
+  for (const Case& c : cases) {
+    for (const char* mode : {"trace", "loop", "cfg"}) {
+      const std::string tag = c.name + " --mode " + mode;
+      std::string out, err;
+      const int status = run_tool_with_stderr(
+          std::string(AISPROF_BINARY) + " --in " + c.path + " --mode " + mode +
+              c.flags,
+          &out, &err);
+      ASSERT_TRUE(WIFEXITED(status)) << tag << ": killed by a signal\n" << err;
+      EXPECT_EQ(WEXITSTATUS(status), 2) << tag;
+      EXPECT_NE(err.find(c.message), std::string::npos) << tag << ": " << err;
+    }
+  }
+}
+
+/// aislint reports malformed assembly, as the input or as the --against
+/// compilation, and a negative window as input errors: a message and exit
+/// 2, never a signal.
+TEST(Aislint, BadInputsExitTwoWithoutAborting) {
+  const std::string valid =
+      write_temp("lint_valid.s", "block a:\n  LI r1, 1\n  ADD r2, r1, r1\n");
+  for (const BadIr& ir : bad_ir_cases()) {
+    if (!ir.parse_error) continue;  // aislint reports these as findings
+    const std::string bad = write_temp("lint_" + ir.name + ".s", ir.text);
+    for (const std::string& args :
+         {" --in " + bad, " --in " + valid + " --against " + bad}) {
+      const std::string tag = ir.name + args;
+      std::string out, err;
+      const int status =
+          run_tool_with_stderr(std::string(AISLINT_BINARY) + args, &out, &err);
+      ASSERT_TRUE(WIFEXITED(status)) << tag << ": killed by a signal\n" << err;
+      EXPECT_EQ(WEXITSTATUS(status), 2) << tag;
+      EXPECT_NE(err.find("aislint: " + bad + ": " + ir.message),
+                std::string::npos)
+          << tag << ": " << err;
+    }
+  }
+  std::string out, err;
+  const int status = run_tool_with_stderr(
+      std::string(AISLINT_BINARY) + " --in " + valid + " --verify --window -3",
+      &out, &err);
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal\n" << err;
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_NE(err.find("aislint: window must be nonnegative, got -3\n"),
+            std::string::npos)
+      << err;
 }
 
 /// aisc formats --report from the compile reply's status options; each
@@ -477,6 +562,34 @@ TEST(Aisc, ProfileFlagPrintsPhaseTableAndCounters) {
     if (err.find(name) != std::string::npos) ++counters;
   }
   EXPECT_GE(counters, 8) << err;
+}
+
+/// --profile counts the disk writes of its own run: the disk tier writes
+/// in the background, and aisc lands every queued entry before it reports.
+TEST(Aisc, ProfileCountsTheDiskWritesItMade) {
+  if (!obs::kHooksCompiledIn) {
+    GTEST_SKIP() << "pipeline instrumentation compiled out (AIS_OBS=OFF)";
+  }
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "aisc_profile_cache";
+  std::filesystem::remove_all(dir);
+  std::string out, err;
+  ASSERT_EQ(run_tool_with_stderr(std::string(AISC_BINARY) + " --in " +
+                                     AIS_EXAMPLES_DIR +
+                                     "/diamond_cfg.s --mode cfg --cache-dir " +
+                                     dir.string() + " --profile",
+                                 &out, &err),
+            0)
+      << err;
+  const std::size_t row = err.find("| cache.disk_writes ");
+  ASSERT_NE(row, std::string::npos) << err;
+  EXPECT_EQ(std::stoll(err.substr(err.find('|', row + 1) + 1)), 2) << err;
+  int files = 0;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    files += f.path().extension() == ".aisc" ? 1 : 0;
+  }
+  EXPECT_EQ(files, 2);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Aisc, TraceJsonWritesPerfettoLoadableFile) {

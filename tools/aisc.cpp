@@ -76,6 +76,9 @@ struct TelemetryFinalizer {
   }
 
   ~TelemetryFinalizer() {
+    // The disk tier writes in the background: land every queued entry
+    // first, so cache.disk_writes and cache_disk_write_us count them.
+    if (profile || !metrics_path.empty()) ScheduleCache::global().flush_disk();
     if (!trace_path.empty() && !obs::write_chrome_trace(trace_path)) {
       std::fprintf(stderr, "aisc: cannot write trace to %s\n",
                    trace_path.c_str());

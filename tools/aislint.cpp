@@ -40,11 +40,14 @@
 //
 // Exit status (deterministic contract, see docs/ANALYSIS.md): 0 clean,
 // 1 error-severity findings (or promoted warnings, or failed verification),
-// 2 usage or I/O error.
+// 2 usage or I/O error, assembly that does not parse (--in or --against)
+// or a negative --window.
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analysis.hpp"
@@ -84,6 +87,18 @@ std::string read_file(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+/// Reads and parses an assembly file; malformed text is an input error
+/// (exit 2), never an abort.
+Program read_program(const std::string& path) {
+  std::string error;
+  std::optional<Program> prog = parse_program_or_error(read_file(path), &error);
+  if (!prog) {
+    std::fprintf(stderr, "aislint: %s: %s\n", path.c_str(), error.c_str());
+    std::exit(2);
+  }
+  return std::move(*prog);
 }
 
 std::vector<std::string> split_commas(const std::string& list) {
@@ -150,6 +165,11 @@ int main(int argc, char** argv) {
   const MachineModel& machine =
       machine_by_name(args.get_string("machine", "rs6000"));
   const int window = static_cast<int>(args.get_int("window", 0));
+  if (window < 0) {
+    std::fprintf(stderr, "aislint: window must be nonnegative, got %d\n",
+                 window);
+    return 2;
+  }
   const std::string mode = args.get_string("mode", "trace");
   if (mode != "trace" && mode != "loop" && mode != "cfg") {
     std::fprintf(stderr, "aislint: unknown mode '%s'\n", mode.c_str());
@@ -194,7 +214,7 @@ int main(int argc, char** argv) {
     graph = std::move(*parsed);
     have_graph = true;
   } else {
-    prog = parse_program(read_file(path));
+    prog = read_program(path);
     have_program = true;
     // Structurally broken programs (mid-block branches, duplicate labels)
     // would trip depbuild's invariants; gate the graph phase on a clean
@@ -281,7 +301,7 @@ int main(int argc, char** argv) {
     if ((do_verify || !against.empty()) && !structure_error.empty()) {
       report.error("not-verified", "cannot verify: " + structure_error);
     } else if (!against.empty()) {
-      const Program compiled = parse_program(read_file(against));
+      const Program compiled = read_program(against);
       verify::VerifyOptions vopts;
       vopts.window = window == 0 ? machine.default_window() : window;
       vopts.check_optimality = optimal;

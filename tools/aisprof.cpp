@@ -40,9 +40,14 @@
 //                      on; see docs/CACHING.md).  Note --repeat with the
 //                      cache on measures warm-hit compiles after the first.
 //   --cache-dir DIR    persist cache entries under DIR across runs
+//
+// An unreadable file, assembly that does not parse or that breaks the
+// block structure the pipeline needs, and a negative --window exit 2 with
+// a message.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -221,6 +226,12 @@ int main(int argc, char** argv) {
   obs::init_from_env();
   obs::set_enabled(true);
 
+  const int window = static_cast<int>(args.get_int("window", 0));
+  if (window < 0) {
+    std::fprintf(stderr, "aisprof: window must be nonnegative, got %d\n",
+                 window);
+    return 2;
+  }
   if (args.has("random-traces")) return run_random_survey(args);
 
   const std::string path = args.get_string("in", "");
@@ -242,10 +253,19 @@ int main(int argc, char** argv) {
   std::ostringstream text;
   text << in.rdbuf();
 
-  const Program prog = parse_program(text.str());
+  // The compile pipeline aborts on malformed text and on broken block
+  // structure, so both are rejected here, as compile_ir rejects them.
+  std::string error;
+  const std::optional<Program> parsed =
+      parse_program_or_error(text.str(), &error);
+  if (parsed) error = block_structure_error(*parsed);
+  if (!error.empty()) {
+    std::fprintf(stderr, "aisprof: %s: %s\n", path.c_str(), error.c_str());
+    return 2;
+  }
+  const Program& prog = *parsed;
   const MachineModel& machine =
       machine_by_name(args.get_string("machine", "rs6000"));
-  const int window = static_cast<int>(args.get_int("window", 0));
   const std::string mode = args.get_string("mode", "trace");
   const int repeat = std::max(1, static_cast<int>(args.get_int("repeat", 1)));
   const std::string trace_path =
@@ -301,6 +321,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Land the disk tier's queued writes, so the report counts them.
+  ScheduleCache::global().flush_disk();
   std::printf("aisprof: %s (mode %s, machine %s, repeat %d)\n", path.c_str(),
               mode.c_str(), machine.name().c_str(), repeat);
   std::printf("compile: %.3f ms total, %.3f ms/compile\n", compile_ms,
