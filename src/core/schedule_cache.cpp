@@ -9,8 +9,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <mutex>
 #include <span>
